@@ -15,12 +15,15 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from domaintriage import evaluation, ingest, learn, selection, whois
 from domaintriage.features import extract_all
 from domaintriage.model import (
     FEATURE_NAMES,
     DatasetRow,
     DomainTriageError,
+    FeatureVector,
     LabeledDataset,
     parse_domain,
 )
@@ -93,26 +96,33 @@ def _cmd_whois_fetch(args) -> int:
     return 0
 
 
-def _cmd_extract(args) -> int:
-    dataset = ingest.read_dataset(args.infile)
-    cache = whois.WhoisCache(args.cache) if args.cache else None
-    reference_date = args.reference_date or dt.date.today()
-    rows = []
-    with_whois = 0
-    for row in dataset.rows:
+def _extract_features(domains, cache_path, reference_date) -> list[FeatureVector]:
+    """The 17 features of each domain, with WHOIS data from the cache
+    at ``cache_path`` (if given) wherever it holds the domain."""
+    cache = whois.WhoisCache(cache_path) if cache_path else None
+    out = []
+    for domain in domains:
         record = None
         if cache is not None:
-            hit = cache.get(row.domain.raw)
+            hit = cache.get(domain.raw)
             if hit is not None:
                 raw, cached_on = hit
-                record = whois.parse_whois(raw, row.domain, cached_on)
-        features = extract_all(row.domain, record, reference_date=reference_date)
-        if features.f1_reg_age_days is not None:
-            with_whois += 1
-        rows.append(DatasetRow(
-            domain=row.domain, label=row.label, source=row.source,
-            first_seen=row.first_seen, features=features,
-        ))
+                record = whois.parse_whois(raw, domain, cached_on)
+        out.append(extract_all(domain, record, reference_date=reference_date))
+    return out
+
+
+def _cmd_extract(args) -> int:
+    dataset = ingest.read_dataset(args.infile)
+    reference_date = args.reference_date or dt.date.today()
+    features = _extract_features([row.domain for row in dataset.rows], args.cache,
+                                 reference_date)
+    rows = [
+        DatasetRow(domain=row.domain, label=row.label, source=row.source,
+                   first_seen=row.first_seen, features=f)
+        for row, f in zip(dataset.rows, features)
+    ]
+    with_whois = sum(f.f1_reg_age_days is not None for f in features)
     out_ds = LabeledDataset(rows=rows)
     ingest.write_features(out_ds, args.out, reference_date)
     _emit({
@@ -226,22 +236,16 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = _load_model(args.model)
-    cache = whois.WhoisCache(args.cache) if args.cache else None
     reference_date = args.reference_date or dt.date.today()
     if args.domain:
         domains = [parse_domain(args.domain)]
     else:
         feed = ingest.load_feed(ingest.FeedSpec(path=args.infile, label=0, source="predict"))
         domains = [row.domain for row in feed.rows]
-    for domain in domains:
-        record = None
-        if cache is not None:
-            hit = cache.get(domain.raw)
-            if hit is not None:
-                raw, cached_on = hit
-                record = whois.parse_whois(raw, domain, cached_on)
-        features = extract_all(domain, record, reference_date=reference_date)
-        label, score = learn.ensemble_predict(model, features)
+    features = _extract_features(domains, args.cache, reference_date)
+    x17 = np.array([f.to_row() for f in features], dtype=float).reshape(-1, len(FEATURE_NAMES))
+    labels, scores = learn.ensemble_scores(model, x17)
+    for domain, label, score in zip(domains, labels.tolist(), scores.tolist()):
         print(json.dumps({"domain": domain.raw, "label": label, "score": score},
                          sort_keys=True))
     return 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from domaintriage.learn import EnsembleModel, ensemble_scores
+from domaintriage.learn import EnsembleModel, combine_votes, ensemble_scores
 from domaintriage.model import DatasetRow, DomainTriageError, LabeledDataset
 from domaintriage.selection import LengthMismatch
 
@@ -223,14 +223,12 @@ def full_report(model: EnsembleModel, x17, y) -> list[EvalReport]:
     if len(y) == 0:
         raise EmptyCounts("empty test set")
     xs = model.standardizer.transform(x17[:, model.selected_features])
-    reports = []
-    for member in model.members:
-        member_scores = member.scores(xs)
-        reports.append(
-            evaluate_predictions(member.kind, y, (member_scores > 0.5).astype(int),
-                                 member_scores)
-        )
-    reports.append(evaluate(model, x17, y))
+    member_scores = [member.scores(xs) for member in model.members]
+    reports = [
+        evaluate_predictions(member.kind, y, (scores > 0.5).astype(int), scores)
+        for member, scores in zip(model.members, member_scores)
+    ]
+    reports.append(evaluate_predictions("ensemble", y, *combine_votes(member_scores)))
     return reports
 
 

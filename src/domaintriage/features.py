@@ -39,12 +39,6 @@ class TldLists:
         if overlap:
             raise ValueError(f"TLDs in both lists: {sorted(overlap)}")
 
-    @classmethod
-    def from_json(cls, path: str) -> "TldLists":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        return cls(generic=frozenset(data["generic"]), abused=frozenset(data["abused"]))
-
 
 @dataclass(frozen=True)
 class RegistrarLists:
@@ -62,16 +56,6 @@ class RegistrarLists:
         overlap = self.popular & self.bad
         if overlap:
             raise ValueError(f"registrars in both lists: {sorted(overlap)}")
-
-    @classmethod
-    def from_json(cls, path: str) -> "RegistrarLists":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        return cls(
-            popular=frozenset(data["popular"]),
-            bad=frozenset(data["bad"]),
-            canonical_map=dict(data.get("canonical_map", {})),
-        )
 
 
 def _load_packaged(name: str) -> str:

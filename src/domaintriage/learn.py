@@ -20,7 +20,7 @@ import numpy as np
 
 from domaintriage.model import DomainTriageError, FeatureVector
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class EmptyData(DomainTriageError):
@@ -103,51 +103,53 @@ class Standardizer:
         return (filled - self.means) / self.stds
 
 
-def fit_standardizer(x) -> Standardizer:
-    return Standardizer.fit(x)
+# --- decision trees and forests -------------------------------------------
 
+_TREE_FIELDS = ("feature", "threshold", "right", "prob")
 
-def apply_standardizer(standardizer: Standardizer, x) -> np.ndarray:
-    return standardizer.transform(x)
-
-
-# --- decision tree --------------------------------------------------------
 
 @dataclass
-class TreeNode:
-    """Either a split (feature, threshold, children) or a leaf holding
-    the probability of label 1.  Rows go left when value <= threshold."""
+class Tree:
+    """One decision tree as a flat preorder node table.
 
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    prob: float = -1.0
+    Node 0 is the root.  A split node i sends a row to node i + 1 when
+    its value of ``feature[i]`` is <= ``threshold[i]`` and to node
+    ``right[i]`` otherwise.  A leaf has ``feature == -1`` and holds the
+    probability of label 1 in ``prob``; the fields a node does not use
+    hold 0.  Children always come after their parent, so every walk ends
+    within len(feature) steps.
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    feature: np.ndarray
+    threshold: np.ndarray
+    right: np.ndarray
+    prob: np.ndarray
 
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"p": self.prob}
-        return {
-            "f": self.feature,
-            "t": self.threshold,
-            "l": self.left.to_dict(),
-            "r": self.right.to_dict(),
-        }
+    def to_payload(self) -> dict:
+        return {key: getattr(self, key).tolist() for key in _TREE_FIELDS}
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "TreeNode":
-        if "p" in obj:
-            return cls(prob=float(obj["p"]))
-        return cls(
-            feature=int(obj["f"]),
-            threshold=float(obj["t"]),
-            left=cls.from_dict(obj["l"]),
-            right=cls.from_dict(obj["r"]),
-        )
+    def from_payload(cls, obj: dict, width: int) -> "Tree":
+        """Load and validate one tree whose splits may use features
+        0..width-1; anything else raises CorruptPayload."""
+        arrays = [np.asarray(obj[key], dtype=float) for key in _TREE_FIELDS]
+        feature, threshold, right, prob = arrays
+        n = len(feature) if feature.ndim == 1 else 0
+        if n == 0 or any(a.shape != (n,) for a in arrays):
+            raise CorruptPayload("tree arrays must be non-empty and of equal length")
+        if not np.isfinite(threshold).all():
+            raise CorruptPayload("tree threshold is not finite")
+        if not ((prob >= 0.0) & (prob <= 1.0)).all():
+            raise CorruptPayload("tree probability outside [0, 1]")
+        if not ((feature == np.floor(feature)) & (right == np.floor(right))).all():
+            raise CorruptPayload("tree node indices must be whole numbers")
+        split = feature >= 0
+        if not ((feature == -1) | (split & (feature < width))).all():
+            raise CorruptPayload(f"tree feature index outside -1..{width - 1}")
+        if not ((right >= 0) & (right < n) & (~split | (right > np.arange(n) + 1))).all():
+            raise CorruptPayload("tree child index does not follow its parent")
+        return cls(feature=feature.astype(np.intp), threshold=threshold,
+                   right=right.astype(np.intp), prob=prob)
 
 
 def _best_split(x, y, idx, feat_ids, min_leaf):
@@ -201,7 +203,7 @@ def train_decision_tree(
     min_leaf: int = 5,
     max_features: int | None = None,
     rng: np.random.Generator | None = None,
-) -> TreeNode:
+) -> Tree:
     """Greedy CART-style tree on Gini impurity.
 
     ``max_features``/``rng`` are for forest use: when set, every split
@@ -216,49 +218,34 @@ def train_decision_tree(
         raise EmptyData(f"{len(x)} rows but {len(y)} labels")
     p = x.shape[1]
     subset = max_features is not None and max_features < p
+    nodes: list[list] = []  # [feature, threshold, right, prob] in preorder
 
-    def grow(idx: np.ndarray, depth: int) -> TreeNode:
+    def grow(idx: np.ndarray, depth: int) -> None:
         pos = int(y[idx].sum())
         n = len(idx)
+        node = [-1, 0.0, 0, pos / n]
+        nodes.append(node)
         if pos == 0 or pos == n or depth >= max_depth or n < 2 * min_leaf:
-            return TreeNode(prob=pos / n)
+            return
         if subset:
             feat_ids = np.sort(rng.choice(p, size=max_features, replace=False))
         else:
             feat_ids = range(p)
         found = _best_split(x, y, idx, feat_ids, min_leaf)
         if found is None:
-            return TreeNode(prob=pos / n)
-        _, feature, threshold = found
-        mask = x[idx, feature] <= threshold
-        return TreeNode(
-            feature=feature,
-            threshold=threshold,
-            left=grow(idx[mask], depth + 1),
-            right=grow(idx[~mask], depth + 1),
-        )
-
-    return grow(np.arange(len(x)), 0)
-
-
-def tree_predict_proba(root: TreeNode, x) -> np.ndarray:
-    """Leaf probability of label 1 for every row of ``x``."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty(len(x), dtype=float)
-
-    def walk(node: TreeNode, idx: np.ndarray) -> None:
-        if node.is_leaf:
-            out[idx] = node.prob
             return
-        mask = x[idx, node.feature] <= node.threshold
-        walk(node.left, idx[mask])
-        walk(node.right, idx[~mask])
+        _, f, t = found
+        node[:] = [f, t, 0, 0.0]
+        mask = x[idx, f] <= t
+        grow(idx[mask], depth + 1)
+        node[2] = len(nodes)
+        grow(idx[~mask], depth + 1)
 
-    walk(root, np.arange(len(x)))
-    return out
+    grow(np.arange(len(x)), 0)
+    feature, threshold, right, prob = np.array(nodes, dtype=float).T.copy()
+    return Tree(feature=feature.astype(np.intp), threshold=threshold,
+                right=right.astype(np.intp), prob=prob)
 
-
-# --- random forest --------------------------------------------------------
 
 def train_random_forest(
     x,
@@ -270,7 +257,7 @@ def train_random_forest(
     max_depth: int = 12,
     min_leaf: int = 5,
     n_jobs: int = 1,
-) -> list[TreeNode]:
+) -> list[Tree]:
     """Bagged trees with per-split random feature subsets.
 
     ``max_features`` defaults to ceil(sqrt(p)).  Tree i draws all its
@@ -284,7 +271,7 @@ def train_random_forest(
     n, p = x.shape
     mf = max_features if max_features is not None else math.ceil(math.sqrt(p))
 
-    def build(i: int) -> TreeNode:
+    def build(i: int) -> Tree:
         rng = np.random.default_rng(seed + i)
         if bootstrap:
             sample = rng.integers(0, n, size=n)
@@ -302,12 +289,41 @@ def train_random_forest(
     return [build(i) for i in range(n_trees)]
 
 
-def forest_predict_proba(trees: list[TreeNode], x) -> np.ndarray:
-    """Mean of member-tree leaf probabilities."""
+# (row, tree) pairs walked at once, which bounds the walk's index
+# arrays whatever the batch size
+_MAX_PAIRS = 1 << 20
+
+
+def forest_predict_proba(trees: list[Tree], x) -> np.ndarray:
+    """Mean of member-tree leaf probabilities.
+
+    The trees are joined into one node table and every (row, tree) pair
+    walks it in lockstep, one numpy step per level.  The leaf
+    probabilities are then added tree by tree, in tree order, so each
+    score is the same sum a tree-at-a-time loop would give.
+    """
     x = np.asarray(x, dtype=float)
+    roots = np.cumsum([0] + [len(t.feature) for t in trees[:-1]])
+    feature = np.concatenate([t.feature for t in trees])
+    threshold = np.concatenate([t.threshold for t in trees])
+    right = np.concatenate([t.right + root for t, root in zip(trees, roots)])
+    prob = np.concatenate([t.prob for t in trees])
     acc = np.zeros(len(x), dtype=float)
-    for tree in trees:
-        acc += tree_predict_proba(tree, x)
+    chunk = max(1, _MAX_PAIRS // len(trees))
+    for start in range(0, len(x), chunk):
+        block = x[start:start + chunk]
+        n = len(block)
+        rows = np.tile(np.arange(n), len(trees))
+        node = np.repeat(roots, n)
+        live = np.flatnonzero(feature[node] >= 0)
+        while len(live):
+            at = node[live]
+            go_left = block[rows[live], feature[at]] <= threshold[at]
+            at = np.where(go_left, at + 1, right[at])
+            node[live] = at
+            live = live[feature[at] >= 0]
+        for leaf_probs in prob[node].reshape(len(trees), n):
+            acc[start:start + n] += leaf_probs
     return acc / len(trees)
 
 
@@ -445,8 +461,7 @@ class Member:
     model object it wraps."""
 
     kind: str
-    tree: TreeNode | None = None
-    trees: list[TreeNode] | None = None
+    trees: list[Tree] | None = None
     logistic: LogisticModel | None = None
     knn_x: np.ndarray | None = None
     knn_y: np.ndarray | None = None
@@ -454,9 +469,7 @@ class Member:
 
     def scores(self, x: np.ndarray) -> np.ndarray:
         """Score in [0,1] per row of (already standardized) ``x``."""
-        if self.kind == "dt":
-            return tree_predict_proba(self.tree, x)
-        if self.kind == "rf":
+        if self.kind in ("rf", "dt"):
             return forest_predict_proba(self.trees, x)
         if self.kind == "lr":
             return self.logistic.scores(x)
@@ -544,10 +557,11 @@ def train_ensemble(
             )
             members.append(Member(kind="rf", trees=trees))
         elif kind == "dt":
+            # scored as a one-tree forest
             tree = train_decision_tree(
                 xs, y, max_depth=params["max_depth"], min_leaf=params["min_leaf"]
             )
-            members.append(Member(kind="dt", tree=tree))
+            members.append(Member(kind="dt", trees=[tree]))
         elif kind == "knn":
             if not (1 <= params["knn_k"] <= len(xs)):
                 raise ValueError(f"knn_k must be in 1..{len(xs)}")
@@ -578,6 +592,16 @@ def _raw_row(features) -> np.ndarray:
     return np.array([np.nan if v is None else float(v) for v in row], dtype=float)
 
 
+def combine_votes(member_scores: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Majority-vote labels and vote fractions from each member's
+    scores; a member votes 1 where its score is above 0.5."""
+    vote_sum = np.zeros(len(member_scores[0]), dtype=int)
+    for scores in member_scores:
+        vote_sum += (scores > 0.5).astype(int)
+    k = len(member_scores)
+    return (vote_sum > k / 2).astype(int), vote_sum / k
+
+
 def ensemble_scores(model: EnsembleModel, x17) -> tuple[np.ndarray, np.ndarray]:
     """Batch scoring: returns (labels, vote-fraction scores) for an
     (n, 17) raw feature matrix."""
@@ -585,12 +609,7 @@ def ensemble_scores(model: EnsembleModel, x17) -> tuple[np.ndarray, np.ndarray]:
     if x17.ndim == 1:
         x17 = x17.reshape(1, -1)
     xs = model.standardizer.transform(x17[:, model.selected_features])
-    vote_sum = np.zeros(len(xs), dtype=int)
-    for member in model.members:
-        vote_sum += member.votes(xs)
-    k = model.k
-    labels = (vote_sum > k / 2).astype(int)
-    return labels, vote_sum / k
+    return combine_votes([member.scores(xs) for member in model.members])
 
 
 def ensemble_predict(model: EnsembleModel, features) -> tuple[int, float]:
@@ -607,9 +626,9 @@ def ensemble_predict(model: EnsembleModel, features) -> tuple[int, float]:
 
 def _member_payload(member: Member) -> dict:
     if member.kind == "dt":
-        return {"kind": "dt", "tree": member.tree.to_dict()}
+        return {"kind": "dt", "tree": member.trees[0].to_payload()}
     if member.kind == "rf":
-        return {"kind": "rf", "trees": [t.to_dict() for t in member.trees]}
+        return {"kind": "rf", "trees": [t.to_payload() for t in member.trees]}
     if member.kind == "lr":
         return {
             "kind": "lr",
@@ -627,12 +646,15 @@ def _member_payload(member: Member) -> dict:
     raise ValueError(f"unknown member kind {member.kind!r}")
 
 
-def _member_from_payload(obj: dict) -> Member:
+def _member_from_payload(obj: dict, width: int) -> Member:
     kind = obj["kind"]
     if kind == "dt":
-        return Member(kind="dt", tree=TreeNode.from_dict(obj["tree"]))
+        return Member(kind="dt", trees=[Tree.from_payload(obj["tree"], width)])
     if kind == "rf":
-        return Member(kind="rf", trees=[TreeNode.from_dict(t) for t in obj["trees"]])
+        trees = [Tree.from_payload(t, width) for t in obj["trees"]]
+        if not trees:
+            raise CorruptPayload("a forest needs at least one tree")
+        return Member(kind="rf", trees=trees)
     if kind == "lr":
         return Member(
             kind="lr",
@@ -673,7 +695,7 @@ def serialize_model(model: EnsembleModel) -> bytes:
 def deserialize_model(data: bytes) -> EnsembleModel:
     try:
         payload = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise CorruptPayload(f"not valid model JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise CorruptPayload("model payload is not an object")
@@ -682,9 +704,10 @@ def deserialize_model(data: bytes) -> EnsembleModel:
         raise VersionMismatch(f"format_version {version!r}, expected {FORMAT_VERSION}")
     try:
         std = payload["standardizer"]
+        selected = [int(i) for i in payload["selected_features"]]
         return EnsembleModel(
-            members=[_member_from_payload(m) for m in payload["members"]],
-            selected_features=[int(i) for i in payload["selected_features"]],
+            members=[_member_from_payload(m, len(selected)) for m in payload["members"]],
+            selected_features=selected,
             standardizer=Standardizer(
                 medians=np.asarray(std["medians"], dtype=float),
                 means=np.asarray(std["means"], dtype=float),
@@ -693,5 +716,5 @@ def deserialize_model(data: bytes) -> EnsembleModel:
             seed=int(payload["seed"]),
             params=dict(payload["params"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptPayload(f"model payload missing or malformed field: {exc}") from exc

@@ -173,9 +173,10 @@ class WhoisClient:
     """Queries WHOIS servers over TCP port 43.
 
     ``server_map`` routes TLDs to servers; a TLD with no entry triggers
-    a single IANA referral lookup.  ``proxy`` (or the
-    ``DOMAINTRIAGE_WHOIS_PROXY`` environment variable) tunnels every
-    connection through an HTTP CONNECT or SOCKS5 proxy.
+    a single IANA referral lookup, whose answer the client's own copy of
+    the map keeps.  ``proxy`` (or the ``DOMAINTRIAGE_WHOIS_PROXY``
+    environment variable) tunnels every connection through an HTTP
+    CONNECT or SOCKS5 proxy.
     """
 
     def __init__(
@@ -248,12 +249,16 @@ class WhoisClient:
         server = self.server_map.get(domain.tld)
         if server:
             return server
-        # one referral hop: ask IANA which server owns the TLD
+        # one referral hop: ask IANA which server owns the TLD, and
+        # route the TLD's later domains there for this client's lifetime
         referral = self._converse(self.iana_host, domain.tld or domain.raw)
         for line in referral.splitlines():
             key, _, value = line.partition(":")
-            if key.strip().lower() in ("refer", "whois") and value.strip():
-                return value.strip()
+            server = value.strip()
+            if key.strip().lower() in ("refer", "whois") and server:
+                if domain.tld:
+                    self.server_map[domain.tld] = server
+                return server
         raise NoServerForTld(f"no WHOIS server known for TLD {domain.tld!r}")
 
     def query(self, domain: Domain) -> str:

@@ -99,3 +99,22 @@ def oracle_segment(chunk: str, model):
         if best is None or candidate < best:
             best = candidate
     return list(best[2])
+
+
+def forest_score_recursive(trees, row) -> float:
+    """Mean leaf probability of one row over trees given as format-2
+    payload dicts of plain lists: a split node i sends the row to node
+    i + 1 when ``row[feature[i]] <= threshold[i]`` and to ``right[i]``
+    otherwise; a leaf has feature -1.  The trees' leaf values are added
+    in tree order, then divided by the tree count."""
+    def walk(tree, i):
+        if tree["feature"][i] == -1:
+            return tree["prob"][i]
+        if row[tree["feature"][i]] <= tree["threshold"][i]:
+            return walk(tree, i + 1)
+        return walk(tree, tree["right"][i])
+
+    total = 0.0
+    for tree in trees:
+        total += walk(tree, 0)
+    return total / len(trees)

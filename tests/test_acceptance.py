@@ -309,14 +309,14 @@ def test_c10_train_determinism(tmp_path):
     blob_a = open(model_a, "rb").read()
     assert blob_a == open(model_b, "rb").read()
     assert len(blob_a) > 100
-    assert json.loads(blob_a)["format_version"] == 1
+    assert json.loads(blob_a)["format_version"] == 2
 
     rng = np.random.default_rng(10)
     x = rng.normal(size=(300, 6))
     y = (x[:, 0] + x[:, 3] > 0).astype(int)
     serial = learn.train_random_forest(x, y, n_trees=24, seed=3, n_jobs=1)
     parallel = learn.train_random_forest(x, y, n_trees=24, seed=3, n_jobs=4)
-    assert [t.to_dict() for t in serial] == [t.to_dict() for t in parallel]
+    assert [t.to_payload() for t in serial] == [t.to_payload() for t in parallel]
     queries = rng.normal(size=(80, 6))
     assert np.array_equal(
         learn.forest_predict_proba(serial, queries),
@@ -337,8 +337,8 @@ def test_c11_degenerate_forest_equals_tree():
         seed=0, max_depth=12, min_leaf=5,
     )
     assert len(forest) == 1
-    assert forest[0].to_dict() == tree.to_dict()
-    tree_p = learn.tree_predict_proba(tree, x)
+    assert forest[0].to_payload() == tree.to_payload()
+    tree_p = learn.forest_predict_proba([tree], x)
     forest_p = learn.forest_predict_proba(forest, x)
     assert np.array_equal(tree_p, forest_p)
     assert np.array_equal(tree_p > 0.5, forest_p > 0.5)

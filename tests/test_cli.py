@@ -283,3 +283,43 @@ def test_whois_fetch_offline_failures_still_exit_zero(pipeline, capsys, tmp_path
     assert code == 0
     assert summary["failures"] == 2
     assert summary["fetched"] == 0
+
+
+def test_predict_batch_lines_equal_single_lines(pipeline, capsys, tmp_path):
+    with open(pipeline["dataset"], newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        labeled = [(row[0], int(row[1])) for row in reader]
+    rng = random.Random(7)
+    ref = dt.date(2020, 5, 16)
+    cache_path = str(tmp_path / "cache.jsonl")
+    cache = WhoisCache(cache_path)
+    for domain, label in labeled:
+        created = ref - dt.timedelta(days=rng.randint(1, 60) if label else rng.randint(300, 3000))
+        expires = created + dt.timedelta(days=rng.randint(365, 730))
+        updated = created + dt.timedelta(days=rng.randint(0, (ref - created).days))
+        cache.put(domain, f"Creation Date: {created}\nRegistry Expiry Date: {expires}\n"
+                          f"Updated Date: {updated}\n", ref)
+    features = str(tmp_path / "fw.csv")
+    code, _ = _run(capsys, "extract", "--in", pipeline["dataset"], "--cache", cache_path,
+                   "--reference-date", REF, "--out", features)
+    assert code == 0
+    sel = tmp_path / "sel.json"
+    sel.write_text(json.dumps({"indices": [0, 1, 2, 4, 5, 9]}))
+    model = str(tmp_path / "mw.json")
+    code, _ = _run(capsys, "train", "--in", features, "--selection", str(sel),
+                   "--seed", "1", "--trees", "10", "--out", model)
+    assert code == 0
+    # the last domain is not in the cache, so its WHOIS features are imputed
+    domains = [d for d, _ in labeled[::9]] + ["uncached-covid-relief.top"]
+    batch = tmp_path / "batch.txt"
+    batch.write_text("".join(d + "\n" for d in domains))
+    code, lines = _run(capsys, "predict", "--model", model, "--in", str(batch),
+                       "--cache", cache_path, "--reference-date", REF)
+    assert code == 0
+    assert [line["domain"] for line in lines] == domains
+    for line in lines:
+        code, (single,) = _run(capsys, "predict", "--model", model, "--domain",
+                               line["domain"], "--cache", cache_path, "--reference-date", REF)
+        assert code == 0
+        assert single == line

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from domaintriage import learn
 from domaintriage.learn import (
@@ -16,7 +18,7 @@ from domaintriage.learn import (
     LogisticModel,
     NonFiniteLoss,
     Standardizer,
-    TreeNode,
+    Tree,
     VersionMismatch,
     deserialize_model,
     ensemble_predict,
@@ -32,8 +34,9 @@ from domaintriage.learn import (
     train_ensemble,
     train_logistic_regression,
     train_random_forest,
-    tree_predict_proba,
 )
+from domaintriage.model import DomainTriageError
+from oracles import forest_score_recursive
 
 
 # --- standardizer -----------------------------------------------------------
@@ -126,20 +129,20 @@ def test_root_split_matches_brute_force():
         want = _oracle_best_split(x, y, min_leaf)
         tree = train_decision_tree(x, y, max_depth=1, min_leaf=min_leaf)
         if want is None:
-            assert tree.is_leaf, trial
+            assert tree.feature[0] == -1, trial
         elif n < 2 * min_leaf:
-            assert tree.is_leaf, trial
+            assert tree.feature[0] == -1, trial
         else:
-            assert not tree.is_leaf, trial
-            assert tree.feature == want[1], trial
-            assert tree.threshold == want[2], trial
+            assert tree.feature[0] != -1, trial
+            assert tree.feature[0] == want[1], trial
+            assert tree.threshold[0] == want[2], trial
 
 
 def test_tree_pure_node_is_leaf():
     x = np.array([[0.0], [1.0], [2.0], [3.0]])
     tree = train_decision_tree(x, np.array([1, 1, 1, 1]), min_leaf=1)
-    assert tree.is_leaf
-    assert tree.prob == 1.0
+    assert tree.feature.tolist() == [-1]
+    assert tree.prob[0] == 1.0
 
 
 def test_tree_separable_data_perfect_on_train():
@@ -147,22 +150,22 @@ def test_tree_separable_data_perfect_on_train():
     x = np.vstack([rng.normal(0, 0.3, size=(30, 2)), rng.normal(5, 0.3, size=(30, 2))])
     y = np.array([0] * 30 + [1] * 30)
     tree = train_decision_tree(x, y, min_leaf=1)
-    proba = tree_predict_proba(tree, x)
+    proba = forest_predict_proba([tree], x)
     assert ((proba > 0.5).astype(int) == y).all()
 
 
-def _check_tree(node, depth, max_depth, min_leaf, x, y, idx):
+def _check_tree(tree, node, depth, max_depth, min_leaf, x, y, idx):
     n = len(idx)
-    if node.is_leaf:
-        assert 0.0 <= node.prob <= 1.0
-        assert node.prob == y[idx].sum() / n
+    if tree.feature[node] == -1:
+        assert 0.0 <= tree.prob[node] <= 1.0
+        assert tree.prob[node] == y[idx].sum() / n
         return
     assert depth < max_depth
-    mask = x[idx, node.feature] <= node.threshold
+    mask = x[idx, tree.feature[node]] <= tree.threshold[node]
     left, right = idx[mask], idx[~mask]
     assert len(left) >= min_leaf and len(right) >= min_leaf
-    _check_tree(node.left, depth + 1, max_depth, min_leaf, x, y, left)
-    _check_tree(node.right, depth + 1, max_depth, min_leaf, x, y, right)
+    _check_tree(tree, node + 1, depth + 1, max_depth, min_leaf, x, y, left)
+    _check_tree(tree, tree.right[node], depth + 1, max_depth, min_leaf, x, y, right)
 
 
 def test_tree_structural_invariants():
@@ -173,7 +176,7 @@ def test_tree_structural_invariants():
         max_depth = int(rng.integers(2, 8))
         min_leaf = int(rng.integers(1, 6))
         tree = train_decision_tree(x, y, max_depth=max_depth, min_leaf=min_leaf)
-        _check_tree(tree, 0, max_depth, min_leaf, x, y, np.arange(80))
+        _check_tree(tree, 0, 0, max_depth, min_leaf, x, y, np.arange(80))
 
 
 def test_tree_monotone_rescaling_keeps_predictions():
@@ -181,10 +184,10 @@ def test_tree_monotone_rescaling_keeps_predictions():
     x = rng.uniform(-3, 3, size=(60, 3))
     y = (x[:, 1] > 0.4).astype(int)
     q = rng.uniform(-3, 3, size=(25, 3))
-    base = tree_predict_proba(train_decision_tree(x, y), q)
+    base = forest_predict_proba([train_decision_tree(x, y)], q)
     scale = np.array([2.0, 0.5, 4.0])
     shift = np.array([-1.0, 3.0, 0.25])
-    scaled = tree_predict_proba(train_decision_tree(x * scale + shift, y), q * scale + shift)
+    scaled = forest_predict_proba([train_decision_tree(x * scale + shift, y)], q * scale + shift)
     assert (base == scaled).all()
 
 
@@ -206,16 +209,16 @@ def test_forest_deterministic_per_seed():
     x, y = _blobs()
     a = train_random_forest(x, y, n_trees=12, seed=9)
     b = train_random_forest(x, y, n_trees=12, seed=9)
-    assert [t.to_dict() for t in a] == [t.to_dict() for t in b]
+    assert [t.to_payload() for t in a] == [t.to_payload() for t in b]
     c = train_random_forest(x, y, n_trees=12, seed=10)
-    assert [t.to_dict() for t in a] != [t.to_dict() for t in c]
+    assert [t.to_payload() for t in a] != [t.to_payload() for t in c]
 
 
 def test_forest_parallel_equals_serial():
     x, y = _blobs(seed=31)
     serial = train_random_forest(x, y, n_trees=16, seed=3, n_jobs=1)
     parallel = train_random_forest(x, y, n_trees=16, seed=3, n_jobs=4)
-    assert [t.to_dict() for t in serial] == [t.to_dict() for t in parallel]
+    assert [t.to_payload() for t in serial] == [t.to_payload() for t in parallel]
     q = np.random.default_rng(0).normal(size=(40, 5)) + 1.0
     assert (forest_predict_proba(serial, q) == forest_predict_proba(parallel, q)).all()
 
@@ -224,8 +227,16 @@ def test_forest_mean_of_trees():
     x, y = _blobs(seed=32)
     trees = train_random_forest(x, y, n_trees=7, seed=1)
     q = x[:20]
-    per_tree = np.stack([tree_predict_proba(t, q) for t in trees])
+    per_tree = np.stack([forest_predict_proba([t], q) for t in trees])
     assert forest_predict_proba(trees, q) == pytest.approx(per_tree.mean(axis=0), abs=1e-15)
+
+
+def test_forest_row_blocks_consistent(monkeypatch):
+    x, y = _blobs(seed=42)
+    trees = train_random_forest(x, y, n_trees=7, seed=2)
+    whole = forest_predict_proba(trees, x)
+    monkeypatch.setattr(learn, "_MAX_PAIRS", 50)  # blocks of 7 rows
+    assert (forest_predict_proba(trees, x) == whole).all()
 
 
 def test_degenerate_forest_equals_single_tree():
@@ -234,8 +245,30 @@ def test_degenerate_forest_equals_single_tree():
                                  max_features=x.shape[1], seed=0)
     tree = train_decision_tree(x, y)
     q = np.random.default_rng(4).normal(size=(200, 5)) + 1.2
-    assert (forest_predict_proba(forest, q) == tree_predict_proba(tree, q)).all()
-    assert forest[0].to_dict() == tree.to_dict()
+    assert (forest_predict_proba(forest, q) == forest_predict_proba([tree], q)).all()
+    assert forest[0].to_payload() == tree.to_payload()
+
+
+def test_lockstep_forest_equals_recursive_walk():
+    rng = np.random.default_rng(41)
+    for trial in range(6):
+        n, p = 150, int(rng.integers(2, 6))
+        x = rng.integers(0, 4, size=(n, p)).astype(float)  # heavy ties
+        x[: n // 2] += rng.normal(scale=0.3, size=(n // 2, p))
+        y = (x[:, 0] + rng.normal(scale=1.0, size=n) > 1.5).astype(int)
+        trees = train_random_forest(x, y, n_trees=int(rng.integers(1, 12)), seed=trial,
+                                    min_leaf=int(rng.integers(1, 4)))
+        payloads = [t.to_payload() for t in trees]
+        q = rng.integers(-1, 5, size=(60, p)).astype(float)
+        # put queries exactly on split thresholds, where <= decides the side
+        splits = [(f, t) for tree in payloads
+                  for f, t in zip(tree["feature"], tree["threshold"]) if f >= 0]
+        for row in q[:40]:
+            for f, t in (splits[int(i)] for i in rng.integers(0, len(splits), size=2)):
+                row[f] = t
+        got = forest_predict_proba(trees, q)
+        want = [forest_score_recursive(payloads, row.tolist()) for row in q]
+        assert got.tolist() == want, trial
 
 
 # --- logistic regression ----------------------------------------------------
@@ -504,7 +537,7 @@ def test_serialize_is_deterministic():
     assert blob == serialize_model(model)
     assert blob == serialize_model(deserialize_model(blob))
     payload = json.loads(blob)
-    assert payload["format_version"] == 1
+    assert payload["format_version"] == 2
 
 
 def test_deserialize_version_mismatch():
@@ -516,7 +549,12 @@ def test_deserialize_version_mismatch():
         deserialize_model(json.dumps(payload).encode())
     # version is checked even when the rest is mangled
     with pytest.raises(VersionMismatch):
-        deserialize_model(b'{"format_version": 2}')
+        deserialize_model(b'{"format_version": 1}')
+    # a v1 file, whose trees were nested node objects, is rejected
+    payload["format_version"] = 1
+    payload["members"][0]["tree"] = {"f": 0, "t": 0.5, "l": {"p": 0.0}, "r": {"p": 1.0}}
+    with pytest.raises(VersionMismatch):
+        deserialize_model(json.dumps(payload).encode())
 
 
 def test_deserialize_corrupt_payloads():
@@ -525,7 +563,7 @@ def test_deserialize_corrupt_payloads():
     with pytest.raises(CorruptPayload):
         deserialize_model(b"[1, 2, 3]")
     with pytest.raises(CorruptPayload):
-        deserialize_model(b'{"format_version": 1}')
+        deserialize_model(b'{"format_version": 2}')
     x, y = _raw17(seed=60)
     model = train_ensemble(x, y, [4], models=("dt",))
     payload = json.loads(serialize_model(model))
@@ -538,11 +576,111 @@ def test_deserialize_corrupt_payloads():
         deserialize_model(json.dumps(payload2).encode())
 
 
+def _tree(feature, threshold, right, prob) -> Tree:
+    return Tree(feature=np.array(feature), threshold=np.array(threshold, dtype=float),
+                right=np.array(right), prob=np.array(prob, dtype=float))
+
+
 def test_tree_node_dict_round_trip():
-    leaf = TreeNode(prob=0.25)
-    assert leaf.to_dict() == {"p": 0.25}
-    split = TreeNode(feature=2, threshold=0.5, left=TreeNode(prob=0.0),
-                     right=TreeNode(prob=1.0))
-    again = TreeNode.from_dict(split.to_dict())
-    assert again.to_dict() == split.to_dict()
-    assert not split.is_leaf and leaf.is_leaf
+    leaf = _tree([-1], [0.0], [0], [0.25])
+    assert leaf.to_payload() == {"feature": [-1], "threshold": [0.0], "right": [0],
+                                 "prob": [0.25]}
+    split = _tree([2, -1, -1], [0.5, 0.0, 0.0], [2, 0, 0], [0.0, 0.0, 1.0])
+    again = Tree.from_payload(split.to_payload(), width=3)
+    assert again.to_payload() == split.to_payload()
+    assert split.feature[0] != -1 and leaf.feature[0] == -1
+
+
+@pytest.fixture(scope="module")
+def tree_payload_model():
+    """A serialized rf + dt model as a payload dict, and rows to score."""
+    x, y = _raw17(seed=61)
+    model = train_ensemble(x, y, [0, 4, 9], models=("rf", "dt"), seed=0, n_trees=3)
+    return json.loads(serialize_model(model)), x
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t: t.update(feature=t["feature"][:-1]),
+    lambda t: t.update(feature=[], threshold=[], right=[], prob=[]),
+    lambda t: t.pop("right"),
+    lambda t: t.update(feature=[3] + t["feature"][1:]),
+    lambda t: t.update(feature=[-2] + t["feature"][1:]),
+    lambda t: t.update(feature=[0.5] + t["feature"][1:]),
+    lambda t: t.update(right=[1] + t["right"][1:]),
+    lambda t: t.update(right=[0] + t["right"][1:]),
+    lambda t: t.update(right=[len(t["right"])] + t["right"][1:]),
+    lambda t: t.update(threshold=[float("nan")] + t["threshold"][1:]),
+    lambda t: t.update(threshold=[float("inf")] + t["threshold"][1:]),
+    lambda t: t.update(prob=t["prob"][:-1] + [1.5]),
+    lambda t: t.update(prob=t["prob"][:-1] + [-0.25]),
+    lambda t: t.update(prob=t["prob"][:-1] + [float("nan")]),
+    lambda t: t.update(feature="0"),
+])
+def test_deserialize_rejects_corrupt_tree(tree_payload_model, edit):
+    payload, _ = tree_payload_model
+    for member, pick in ((0, lambda m: m["trees"][1]), (1, lambda m: m["tree"])):
+        bad = json.loads(json.dumps(payload))
+        tree = pick(bad["members"][member])
+        assert tree["feature"][0] >= 0  # the root is a split
+        edit(tree)
+        with pytest.raises(CorruptPayload):
+            deserialize_model(json.dumps(bad).encode())
+
+
+def test_deserialize_rejects_empty_forest_and_deep_nesting(tree_payload_model):
+    payload = json.loads(json.dumps(tree_payload_model[0]))
+    payload["members"][0]["trees"] = []
+    with pytest.raises(CorruptPayload):
+        deserialize_model(json.dumps(payload).encode())
+    # a nested v1-style tree too deep for a recursive loader
+    depth = 100_000
+    deep = '{"f":0,"t":0.5,"l":{"p":0.0},"r":' * depth + '{"p":0.5}' + "}" * depth
+    payload["members"][0]["trees"] = ["@"]
+    blob = json.dumps(payload).replace('"@"', deep).encode()
+    with pytest.raises(CorruptPayload):
+        deserialize_model(blob)
+
+
+_JSON_VALUES = st.one_of(
+    st.integers(-3, 40), st.integers(), st.floats(), st.none(), st.booleans(),
+    st.text(max_size=3), st.lists(st.integers(-1, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_tree_payload_loads_and_scores_or_raises(tree_payload_model, data):
+    payload, x = tree_payload_model
+    payload = json.loads(json.dumps(payload))
+    member = data.draw(st.sampled_from(payload["members"]))
+    if member["kind"] == "rf":
+        holder, slot = member["trees"], data.draw(st.integers(0, len(member["trees"]) - 1))
+    else:
+        holder, slot = member, "tree"
+    tree = holder[slot]
+    key = data.draw(st.sampled_from(["feature", "threshold", "right", "prob"]))
+    n = len(tree[key])
+    op = data.draw(st.sampled_from(["set", "truncate", "append", "replace", "delete", "tree"]))
+    if op == "set":
+        tree[key][data.draw(st.integers(0, n - 1))] = data.draw(_JSON_VALUES)
+    elif op == "truncate":
+        del tree[key][data.draw(st.integers(0, n - 1)):]
+    elif op == "append":
+        tree[key].append(data.draw(_JSON_VALUES))
+    elif op == "replace":
+        tree[key] = data.draw(_JSON_VALUES)
+    elif op == "delete":
+        del tree[key]
+    else:
+        holder[slot] = data.draw(_JSON_VALUES)
+    try:
+        model = deserialize_model(json.dumps(payload).encode())
+    except DomainTriageError:
+        return
+    labels, scores = ensemble_scores(model, x)
+    assert ((scores >= 0.0) & (scores <= 1.0)).all()
+    xs = model.standardizer.transform(x[:, model.selected_features])
+    for m in model.members:
+        member_scores = m.scores(xs)
+        assert ((member_scores >= 0.0) & (member_scores <= 1.0)).all()

@@ -8,6 +8,7 @@ import pytest
 
 from domaintriage.model import DomainTriageError, parse_domain
 from domaintriage.whois import (
+    DEFAULT_SERVERS,
     PROXY_ENV_VAR,
     NoServerForTld,
     RateLimited,
@@ -116,10 +117,15 @@ def test_query_unknown_tld_uses_one_iana_referral(stub):
     # the referred answer itself carries a refer line, which must NOT
     # trigger a second hop
     stub.responses["name.weird"] = "refer: other.example\nCreation Date: 2020-01-02\n"
+    stub.responses["other.weird"] = "Creation Date: 2021-03-04\n"
     client = _client(stub, server_map={})
     raw = client.query(parse_domain("name.weird"))
     assert "Creation Date: 2020-01-02" in raw
     assert stub.queries == ["weird", "name.weird"]
+    # the referral is remembered: a second domain under the TLD skips IANA
+    assert "2021-03-04" in client.query(parse_domain("other.weird"))
+    assert stub.queries == ["weird", "name.weird", "other.weird"]
+    assert "weird" not in DEFAULT_SERVERS
 
 
 def test_iana_whois_key_also_accepted(stub):
@@ -135,6 +141,10 @@ def test_no_server_for_tld(stub):
     client = _client(stub, server_map={})
     with pytest.raises(NoServerForTld):
         client.query(parse_domain("x.nowhere"))
+    # a referral without a server is not remembered
+    with pytest.raises(NoServerForTld):
+        client.query(parse_domain("y.nowhere"))
+    assert stub.queries == ["nowhere", "nowhere"]
 
 
 def test_connection_refused():
