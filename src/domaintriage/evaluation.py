@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from domaintriage.learn import EnsembleModel, combine_votes, ensemble_scores
+from domaintriage.learn import EnsembleModel, combine_votes
 from domaintriage.model import DatasetRow, DomainTriageError, LabeledDataset
 from domaintriage.selection import LengthMismatch
 
@@ -205,15 +205,6 @@ def evaluate_predictions(name: str, y_true, pred_labels, scores) -> EvalReport:
         auc=auc(points),
         roc_points=points,
     )
-
-
-def evaluate(model: EnsembleModel, x17, y, name: str = "ensemble") -> EvalReport:
-    """Evaluate the majority-vote ensemble on a raw 17-feature matrix."""
-    y = np.asarray(y, dtype=int)
-    if len(y) == 0:
-        raise EmptyCounts("empty test set")
-    labels, scores = ensemble_scores(model, x17)
-    return evaluate_predictions(name, y, labels, scores)
 
 
 def full_report(model: EnsembleModel, x17, y) -> list[EvalReport]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from domaintriage.model import DomainTriageError, FeatureVector
+from domaintriage.model import FEATURE_NAMES, DomainTriageError, FeatureVector
 
 FORMAT_VERSION = 2
 
@@ -405,18 +405,40 @@ def train_logistic_regression(
 
 # --- k nearest neighbors ----------------------------------------------------
 
-def predict_knn(train_x, train_y, query, k: int = 5) -> tuple[int, float]:
-    """Label and positive-fraction score of the k nearest rows.
-
-    Euclidean distance; equidistant candidates at the boundary are
-    taken in row order (stable sort).  Score exactly 0.5 → label 0.
-    """
-    scores = knn_scores(train_x, train_y, np.asarray(query, dtype=float).reshape(1, -1), k)
-    score = float(scores[0])
-    return (1 if score > 0.5 else 0), score
+# doubles in one block of approximate distances (16 MB); a block holds
+# _KNN_BLOCK // n queries, at least one
+_KNN_BLOCK = 1 << 21
 
 
 def knn_scores(train_x, train_y, queries, k: int = 5) -> np.ndarray:
+    """Positive fraction of the k nearest training rows of each query.
+
+    Distance is the squared Euclidean ``E = ((q - x) ** 2).sum(axis=-1)``
+    and equidistant points at the boundary are taken in row order, so
+    the neighbours are the first k rows of a stable sort by E.
+
+    Queries go in blocks.  One matmul gives every approximate distance
+    ``A = |q|² + |x|² − 2·q·xᵀ`` of a block, and ``np.partition`` gives
+    T, each query's k-th smallest A.  With u = eps/2 and S = |q|² +
+    max|x|², the standard bounds for sums and dot products give
+    ``|A − D| ≤ (2p + 4)·u·S`` (the three length-p reductions and the
+    two additions) and ``|E − D| ≤ (p + 2)·u·D ≤ (2p + 4)·u·S`` (a
+    rounded difference, a rounded square and p − 1 additions, and D ≤
+    2S) around the true distance D, so ``|A − E| ≤ δ = (2p + 4)·eps·S``
+    up to O(u²) terms.  Each product that underflows adds at most half
+    the smallest subnormal, hence an absolute term of the same form.
+
+    The k rows with A ≤ T have E ≤ T + δ, so the k-th smallest E is at
+    most T + δ, and any row with E at most that k-th smallest E has
+    A ≤ T + 2δ.  The rows kept, those with A ≤ T + 2δ where 2δ is taken
+    as ``4(p + 3)·(eps·S + 2^-1074)`` (the slack absorbs the rounding of
+    T + 2δ and the O(u²) terms), therefore include every row that can
+    be among the k nearest.  Their E is recomputed with the same
+    last-axis reduction as a full scan, so the values are bit-equal,
+    and the first k by (E, row) are exactly the stable sort's first k.
+    A query whose T + 2δ is not finite (an overflow or a NaN) keeps
+    every row, which is the exact full scan.
+    """
     train_x = np.asarray(train_x, dtype=float)
     train_y = np.asarray(train_y, dtype=int)
     queries = np.asarray(queries, dtype=float)
@@ -432,12 +454,32 @@ def knn_scores(train_x, train_y, queries, k: int = 5) -> np.ndarray:
             f"train has {train_x.shape[1]} columns, query has {queries.shape[1]}"
         )
     out = np.empty(len(queries), dtype=float)
-    chunk = max(1, 2_000_000 // max(n, 1))
-    for start in range(0, len(queries), chunk):
-        q = queries[start:start + chunk]
-        d2 = ((q[:, None, :] - train_x[None, :, :]) ** 2).sum(axis=2)
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        out[start:start + len(q)] = train_y[order].sum(axis=1) / k
+    p = train_x.shape[1]
+    chunk = max(1, _KNN_BLOCK // n)
+    # a non-finite value only sends a query to the full scan
+    with np.errstate(over="ignore", invalid="ignore"):
+        xx = (train_x * train_x).sum(axis=1)
+        xx_max = xx.max()
+        for start in range(0, len(queries), chunk):
+            q = queries[start:start + chunk]
+            qq = (q * q).sum(axis=1)
+            approx = q @ train_x.T
+            approx *= -2.0
+            approx += qq[:, None]
+            approx += xx
+            kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+            limit = kth + 4 * (p + 3) * (np.finfo(float).eps * (qq + xx_max)
+                                         + np.finfo(float).smallest_subnormal)
+            keep = approx <= limit[:, None]
+            keep[~np.isfinite(limit)] = True
+            qi, ri = np.nonzero(keep)
+            exact = ((q[qi] - train_x[ri]) ** 2).sum(axis=-1)
+            order = np.lexsort((ri, exact, qi))
+            # candidates come grouped by query; a group's first k are its nearest
+            counts = np.bincount(qi, minlength=len(q))
+            first = np.cumsum(counts) - counts
+            nearest = ri[order[first[:, None] + np.arange(k)]]
+            out[start:start + len(q)] = train_y[nearest].sum(axis=1) / k
     return out
 
 
@@ -445,14 +487,16 @@ def knn_scores(train_x, train_y, queries, k: int = 5) -> np.ndarray:
 
 def majority_vote(votes) -> int:
     """Label 1 iff strictly more than half the votes are 1; a tie on an
-    even vote count is benign (0)."""
+    even vote count is benign (0).  This is :func:`combine_votes` on
+    one row, with one member per vote."""
     votes = list(votes)
     if not votes:
         raise EmptyVotes("no votes to aggregate")
     for v in votes:
         if v not in (0, 1):
             raise ValueError(f"votes must be 0 or 1, got {v!r}")
-    return 1 if sum(votes) > len(votes) / 2 else 0
+    labels, _ = combine_votes(np.asarray(votes, dtype=float)[:, None])
+    return int(labels[0])
 
 
 @dataclass
@@ -646,6 +690,19 @@ def _member_payload(member: Member) -> dict:
     raise ValueError(f"unknown member kind {member.kind!r}")
 
 
+def _finite(value, what: str, shape: tuple) -> np.ndarray:
+    """``value`` as a finite float array of ``shape``, in which None
+    stands for any length of at least 1; otherwise CorruptPayload."""
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim != len(shape) or any(
+        got < 1 if want is None else got != want for got, want in zip(arr.shape, shape)
+    ):
+        raise CorruptPayload(f"{what} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise CorruptPayload(f"{what} is not finite")
+    return arr
+
+
 def _member_from_payload(obj: dict, width: int) -> Member:
     kind = obj["kind"]
     if kind == "dt":
@@ -659,18 +716,20 @@ def _member_from_payload(obj: dict, width: int) -> Member:
         return Member(
             kind="lr",
             logistic=LogisticModel(
-                weights=np.asarray(obj["weights"], dtype=float),
-                bias=float(obj["bias"]),
+                weights=_finite(obj["weights"], "lr weights", (width,)),
+                bias=float(_finite(obj["bias"], "lr bias", ())),
                 final_loss=float(obj["final_loss"]),
             ),
         )
     if kind == "knn":
-        return Member(
-            kind="knn",
-            knn_x=np.asarray(obj["x"], dtype=float),
-            knn_y=np.asarray(obj["y"], dtype=int),
-            knn_k=int(obj["k"]),
-        )
+        x = _finite(obj["x"], "knn x", (None, width))
+        y = _finite(obj["y"], "knn y", (len(x),))
+        k = obj["k"]
+        if not ((y == 0) | (y == 1)).all():
+            raise CorruptPayload("knn labels must be 0 or 1")
+        if type(k) is not int or not 1 <= k <= len(x):
+            raise CorruptPayload(f"knn k must be an integer in 1..{len(x)}, got {k!r}")
+        return Member(kind="knn", knn_x=x, knn_y=y.astype(int), knn_k=k)
     raise CorruptPayload(f"unknown member kind {kind!r}")
 
 
@@ -703,16 +762,24 @@ def deserialize_model(data: bytes) -> EnsembleModel:
     if version != FORMAT_VERSION:
         raise VersionMismatch(f"format_version {version!r}, expected {FORMAT_VERSION}")
     try:
-        std = payload["standardizer"]
-        selected = [int(i) for i in payload["selected_features"]]
+        selected = payload["selected_features"]
+        if not (isinstance(selected, list) and selected
+                and all(type(i) is int and 0 <= i < len(FEATURE_NAMES) for i in selected)
+                and len(set(selected)) == len(selected)):
+            raise CorruptPayload(
+                f"selected_features must be distinct indices in 0..{len(FEATURE_NAMES) - 1}")
+        width = len(selected)
+        std = {key: _finite(payload["standardizer"][key], f"standardizer {key}", (width,))
+               for key in ("medians", "means", "stds")}
+        if not (std["stds"] > 0).all():
+            raise CorruptPayload("standardizer stds must be positive")
+        members = [_member_from_payload(m, width) for m in payload["members"]]
+        if not members:
+            raise CorruptPayload("a model needs at least one member")
         return EnsembleModel(
-            members=[_member_from_payload(m, len(selected)) for m in payload["members"]],
+            members=members,
             selected_features=selected,
-            standardizer=Standardizer(
-                medians=np.asarray(std["medians"], dtype=float),
-                means=np.asarray(std["means"], dtype=float),
-                stds=np.asarray(std["stds"], dtype=float),
-            ),
+            standardizer=Standardizer(**std),
             seed=int(payload["seed"]),
             params=dict(payload["params"]),
         )

@@ -18,13 +18,14 @@ import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
+from pathlib import Path
 
 _WORD_RE = re.compile(r"^[a-z]+$")
 _SEPARATORS = re.compile(r"[.-]")
 
 
 def _read_words(path_or_text: str, is_text: bool = False) -> list[str]:
-    text = path_or_text if is_text else open(path_or_text, encoding="utf-8").read()
+    text = path_or_text if is_text else Path(path_or_text).read_text(encoding="utf-8")
     words = []
     seen = set()
     for lineno, line in enumerate(text.splitlines(), start=1):

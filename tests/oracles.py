@@ -118,3 +118,22 @@ def forest_score_recursive(trees, row) -> float:
     for tree in trees:
         total += walk(tree, 0)
     return total / len(trees)
+
+
+def knn_score_bruteforce(train_x, train_y, query, k: int) -> float:
+    """Positive fraction of the k nearest training rows of one query.
+
+    Every squared distance is summed left to right, which is also the
+    order numpy sums a row of fewer than 8 values in, and the rows are
+    fully sorted by (distance, row index), so equidistant rows at the
+    boundary are taken in row order.
+    """
+    d2 = []
+    for row in train_x:
+        total = 0.0
+        for a, b in zip(row, query):
+            d = a - b
+            total += d * d
+        d2.append(total)
+    order = sorted(range(len(d2)), key=lambda i: (d2[i], i))
+    return sum(train_y[i] for i in order[:k]) / k

@@ -13,6 +13,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,8 +307,8 @@ def test_c10_train_determinism(tmp_path):
             "--seed", "5", "--trees", "15"]
     assert cli.main(argv + ["--out", model_a]) == 0
     assert cli.main(argv + ["--out", model_b]) == 0
-    blob_a = open(model_a, "rb").read()
-    assert blob_a == open(model_b, "rb").read()
+    blob_a = Path(model_a).read_bytes()
+    assert blob_a == Path(model_b).read_bytes()
     assert len(blob_a) > 100
     assert json.loads(blob_a)["format_version"] == 2
 

@@ -2,6 +2,7 @@ import csv
 import datetime as dt
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -80,7 +81,7 @@ def test_extract_echoes_reference_date(pipeline, capsys):
     assert code == 0
     assert summary["reference_date"] == REF
     assert summary["whois_missing"] == summary["rows"]
-    first_line = open(features2).readline().strip()
+    first_line = Path(features2).read_text().splitlines()[0].strip()
     assert first_line == f"# reference_date={REF}"
 
 
@@ -91,7 +92,7 @@ def test_select_threshold_and_matrix(pipeline, capsys):
                             "--threshold", "0.60", "--out", sel,
                             "--matrix-out", matrix)
     assert code == 0
-    payload = json.loads(open(sel).read())
+    payload = json.loads(Path(sel).read_text())
     assert payload == summary
     assert payload["method"] == "correlation"
     assert payload["threshold"] == 0.60
@@ -150,7 +151,7 @@ def test_train_and_evaluate(pipeline, capsys):
     assert names == ["rf", "dt", "knn", "lr", "ensemble"]
     for r in summary2["reports"]:
         assert r["acc"] >= 0.7
-    payload = json.loads(open(report).read())
+    payload = json.loads(Path(report).read_text())
     assert payload["reports"][0]["roc_points"][0] == [0.0, 0.0]
     with open(table, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -162,7 +163,7 @@ def test_train_and_evaluate(pipeline, capsys):
 
 def test_train_deterministic_model_files(pipeline, capsys):
     model_a, _, _ = _train(pipeline, capsys)
-    blob_a = open(model_a, "rb").read()
+    blob_a = Path(model_a).read_bytes()
     model_b = str(pipeline["tmp"] / "model_b.json")
     sel = str(pipeline["tmp"] / "selection.json")
     code, _ = _run(capsys, "train", "--in", pipeline["features"],
@@ -170,7 +171,7 @@ def test_train_deterministic_model_files(pipeline, capsys):
                    "--out", model_b, "--test-out",
                    str(pipeline["tmp"] / "tb.csv"))
     assert code == 0
-    assert blob_a == open(model_b, "rb").read()
+    assert blob_a == Path(model_b).read_bytes()
 
 
 def test_predict_single_and_batch(pipeline, capsys):

@@ -2,6 +2,7 @@ import csv
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from domaintriage.evaluation import (
     SingleClass,
     auc,
     confusion,
-    evaluate,
     evaluate_predictions,
     full_report,
     metrics,
@@ -221,16 +221,16 @@ def _trained():
 
 def test_evaluate_and_full_report():
     model, x, y = _trained()
-    report = evaluate(model, x, y)
+    reports = full_report(model, x, y)
+    report = reports[-1]
     assert report.classifier_name == "ensemble"
     assert report.acc >= 0.9
     assert report.counts.total == len(y)
-    reports = full_report(model, x, y)
     assert [r.classifier_name for r in reports] == ["rf", "dt", "knn", "lr", "ensemble"]
     for r in reports:
         assert 0.0 <= r.auc <= 1.0
     with pytest.raises(EmptyCounts):
-        evaluate(model, x[:0], y[:0])
+        full_report(model, x[:0], y[:0])
 
 
 def test_evaluate_predictions_report_fields():
@@ -283,5 +283,5 @@ def test_reference_results_content():
     assert set(REFERENCE_RESULTS) == {"rf", "dt", "knn", "lr", "ensemble"}
     # documentation only: nothing in the package reads these numbers
     import domaintriage.evaluation as ev
-    source = open(ev.__file__, encoding="utf-8").read()
+    source = Path(ev.__file__).read_text(encoding="utf-8")
     assert source.count("REFERENCE_RESULTS") == 1

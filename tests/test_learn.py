@@ -16,6 +16,7 @@ from domaintriage.learn import (
     EmptyVotes,
     FeatureDimensionMismatch,
     LogisticModel,
+    Member,
     NonFiniteLoss,
     Standardizer,
     Tree,
@@ -28,7 +29,6 @@ from domaintriage.learn import (
     lr_gradient,
     lr_loss,
     majority_vote,
-    predict_knn,
     serialize_model,
     train_decision_tree,
     train_ensemble,
@@ -36,7 +36,7 @@ from domaintriage.learn import (
     train_random_forest,
 )
 from domaintriage.model import DomainTriageError
-from oracles import forest_score_recursive
+from oracles import forest_score_recursive, knn_score_bruteforce
 
 
 # --- standardizer -----------------------------------------------------------
@@ -342,10 +342,9 @@ def test_lr_bias_not_penalized():
 
 # --- k nearest neighbors ----------------------------------------------------
 
-def _oracle_knn_score(train_x, train_y, q, k):
-    d2 = [sum((a - b) ** 2 for a, b in zip(row, q)) for row in train_x]
-    order = sorted(range(len(train_x)), key=lambda i: (d2[i], i))
-    return sum(train_y[i] for i in order[:k]) / k
+def _knn_oracle_scores(train_x, train_y, queries, k):
+    return [knn_score_bruteforce(train_x.tolist(), train_y.tolist(), q, k)
+            for q in queries.tolist()]
 
 
 def test_knn_matches_brute_force():
@@ -358,22 +357,79 @@ def test_knn_matches_brute_force():
         train_y = rng.integers(0, 2, size=n)
         queries = rng.integers(0, 4, size=(10, p)).astype(float)
         got = knn_scores(train_x, train_y, queries, k)
-        for qi, q in enumerate(queries):
-            assert got[qi] == _oracle_knn_score(train_x, train_y, q, k), (n, p, k)
+        assert got.tolist() == _knn_oracle_scores(train_x, train_y, queries, k), (n, p, k)
+
+
+def test_knn_bit_equal_on_grids_and_training_rows():
+    rng = np.random.default_rng(43)
+    for trial in range(8):
+        n, p = int(rng.integers(50, 400)), int(rng.integers(1, 8))
+        k = int(rng.integers(1, 12))
+        if trial % 2:
+            train_x = rng.integers(0, 3, size=(n, p)).astype(float)  # {0,1,2} grid
+            queries = rng.integers(0, 3, size=(60, p)).astype(float)
+        else:
+            train_x = np.round(rng.normal(size=(n, p)), 1)
+            queries = np.vstack([train_x[rng.integers(0, n, size=40)],
+                                 np.round(rng.normal(size=(20, p)), 1)])
+        train_y = rng.integers(0, 2, size=n)
+        got = knn_scores(train_x, train_y, queries, k)
+        assert got.tolist() == _knn_oracle_scores(train_x, train_y, queries, k), trial
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 7, 61])  # 61 = n + 1
+def test_knn_block_boundaries(monkeypatch, rows_per_block):
+    rng = np.random.default_rng(44)
+    n = 60
+    train_x = rng.integers(0, 3, size=(n, 3)).astype(float)
+    train_y = rng.integers(0, 2, size=n)
+    queries = np.vstack([train_x[:20], rng.integers(0, 3, size=(47, 3)).astype(float)])
+    monkeypatch.setattr(learn, "_KNN_BLOCK", rows_per_block * n)
+    got = knn_scores(train_x, train_y, queries, k=7)
+    assert got.tolist() == _knn_oracle_scores(train_x, train_y, queries, 7)
+
+
+@pytest.mark.parametrize("offset", [1e3, 1e6])
+def test_knn_large_common_offset(offset):
+    # |q|² + |x|² − 2q·x cancels almost every digit here, so a rounding
+    # bound that is too tight drops true neighbours
+    rng = np.random.default_rng(45)
+    train_x = offset + 1e-4 * rng.integers(0, 6, size=(400, 3))
+    train_y = rng.integers(0, 2, size=400)
+    queries = offset + 1e-4 * rng.integers(0, 6, size=(300, 3))
+    got = knn_scores(train_x, train_y, queries, k=5)
+    assert got.tolist() == _knn_oracle_scores(train_x, train_y, queries, 5)
+
+
+def test_knn_overflow_takes_exact_scan():
+    rng = np.random.default_rng(46)
+    train_x = rng.integers(0, 3, size=(80, 2)).astype(float)
+    train_y = rng.integers(0, 2, size=80)
+    queries = rng.integers(0, 3, size=(30, 2)).astype(float)
+    queries[[3, 17], 0] = 1e200  # |q|² overflows for these two only
+    got = knn_scores(train_x, train_y, queries, k=5)
+    assert got.tolist() == _knn_oracle_scores(train_x, train_y, queries, 5)
+    train_x[::9, 0] = 1e200  # max |x|² overflows: every query is scanned
+    got = knn_scores(train_x, train_y, queries, k=5)
+    assert got.tolist() == _knn_oracle_scores(train_x, train_y, queries, 5)
+
+
+def _knn_member(train_x, train_y, k):
+    return Member(kind="knn", knn_x=train_x, knn_y=train_y, knn_k=k)
 
 
 def test_knn_tie_score_is_benign():
-    train_x = np.array([[0.0], [2.0]])
-    train_y = np.array([1, 0])
-    label, score = predict_knn(train_x, train_y, [1.0], k=2)
+    member = _knn_member(np.array([[0.0], [2.0]]), np.array([1, 0]), k=2)
+    score = member.scores(np.array([[1.0]]))[0]
+    label = member.votes(np.array([[1.0]]))[0]
     assert score == 0.5
     assert label == 0
 
 
 def test_knn_equidistant_prefers_lower_row():
-    train_x = np.array([[1.0], [1.0], [1.0]])
-    train_y = np.array([1, 0, 0])
-    label, score = predict_knn(train_x, train_y, [1.0], k=1)
+    member = _knn_member(np.array([[1.0], [1.0], [1.0]]), np.array([1, 0, 0]), k=1)
+    score = member.scores(np.array([[1.0]]))[0]
+    label = member.votes(np.array([[1.0]]))[0]
     assert (label, score) == (1, 1.0)
 
 
@@ -648,32 +704,27 @@ _JSON_VALUES = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_mutated_tree_payload_loads_and_scores_or_raises(tree_payload_model, data):
-    payload, x = tree_payload_model
-    payload = json.loads(json.dumps(payload))
-    member = data.draw(st.sampled_from(payload["members"]))
-    if member["kind"] == "rf":
-        holder, slot = member["trees"], data.draw(st.integers(0, len(member["trees"]) - 1))
-    else:
-        holder, slot = member, "tree"
-    tree = holder[slot]
-    key = data.draw(st.sampled_from(["feature", "threshold", "right", "prob"]))
-    n = len(tree[key])
-    op = data.draw(st.sampled_from(["set", "truncate", "append", "replace", "delete", "tree"]))
+def _mutate(data, holder, key) -> None:
+    """One random edit of ``holder[key]``: set, cut or extend a list,
+    or replace or delete the value."""
+    value = holder[key]
+    ops = ["replace", "delete"]
+    if isinstance(value, list) and value:
+        ops += ["set", "truncate", "append"]
+    op = data.draw(st.sampled_from(ops))
     if op == "set":
-        tree[key][data.draw(st.integers(0, n - 1))] = data.draw(_JSON_VALUES)
+        value[data.draw(st.integers(0, len(value) - 1))] = data.draw(_JSON_VALUES)
     elif op == "truncate":
-        del tree[key][data.draw(st.integers(0, n - 1)):]
+        del value[data.draw(st.integers(0, len(value) - 1)):]
     elif op == "append":
-        tree[key].append(data.draw(_JSON_VALUES))
+        value.append(data.draw(_JSON_VALUES))
     elif op == "replace":
-        tree[key] = data.draw(_JSON_VALUES)
-    elif op == "delete":
-        del tree[key]
+        holder[key] = data.draw(_JSON_VALUES)
     else:
-        holder[slot] = data.draw(_JSON_VALUES)
+        del holder[key]
+
+
+def _loads_and_scores_or_raises(payload, x) -> None:
     try:
         model = deserialize_model(json.dumps(payload).encode())
     except DomainTriageError:
@@ -684,3 +735,95 @@ def test_mutated_tree_payload_loads_and_scores_or_raises(tree_payload_model, dat
     for m in model.members:
         member_scores = m.scores(xs)
         assert ((member_scores >= 0.0) & (member_scores <= 1.0)).all()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_tree_payload_loads_and_scores_or_raises(tree_payload_model, data):
+    payload, x = tree_payload_model
+    payload = json.loads(json.dumps(payload))
+    member = data.draw(st.sampled_from(payload["members"]))
+    if member["kind"] == "rf":
+        holder, slot = member["trees"], data.draw(st.integers(0, len(member["trees"]) - 1))
+    else:
+        holder, slot = member, "tree"
+    if data.draw(st.integers(0, 5)) == 0:
+        holder[slot] = data.draw(_JSON_VALUES)
+    else:
+        key = data.draw(st.sampled_from(["feature", "threshold", "right", "prob"]))
+        _mutate(data, holder[slot], key)
+    _loads_and_scores_or_raises(payload, x)
+
+
+@pytest.fixture(scope="module")
+def full_payload_model():
+    """A serialized model with all four members as a payload dict, and
+    rows to score."""
+    x, y = _raw17(seed=62)
+    model = train_ensemble(x, y, [0, 4, 9], seed=0, n_trees=3)
+    return json.loads(serialize_model(model)), x
+
+
+def _member_of(payload, kind) -> dict:
+    return next(m for m in payload["members"] if m["kind"] == kind)
+
+
+_CORRUPT_FIELDS = {
+    "stds zero": lambda p: p["standardizer"]["stds"].__setitem__(1, 0.0),
+    "stds negative": lambda p: p["standardizer"]["stds"].__setitem__(1, -1.0),
+    "selected above 16": lambda p: p.update(selected_features=[0, 4, 17]),
+    "selected negative": lambda p: p.update(selected_features=[-1, 4, 9]),
+    "selected duplicated": lambda p: p.update(selected_features=[0, 4, 4]),
+    "selected not an integer": lambda p: p.update(selected_features=[0, 4.5, 9]),
+    "no members": lambda p: p.update(members=[]),
+    "medians too short": lambda p: p["standardizer"]["medians"].pop(),
+    "means too long": lambda p: p["standardizer"]["means"].append(0.0),
+    "stds too short": lambda p: p["standardizer"]["stds"].pop(),
+    "knn x empty": lambda p: _member_of(p, "knn").update(x=[]),
+    "knn x too narrow": lambda p: _member_of(p, "knn").update(
+        x=[row[:-1] for row in _member_of(p, "knn")["x"]]),
+    "knn x one row": lambda p: _member_of(p, "knn").update(x=_member_of(p, "knn")["x"][0]),
+    "knn x ragged": lambda p: _member_of(p, "knn")["x"][5].pop(),
+    "knn x infinite": lambda p: _member_of(p, "knn")["x"][5].__setitem__(0, float("inf")),
+    "knn x nan": lambda p: _member_of(p, "knn")["x"][5].__setitem__(0, float("nan")),
+    "knn y too short": lambda p: _member_of(p, "knn")["y"].pop(),
+    "knn y of 7": lambda p: _member_of(p, "knn")["y"].__setitem__(0, 7),
+    "knn y of 0.5": lambda p: _member_of(p, "knn")["y"].__setitem__(0, 0.5),
+    "knn k zero": lambda p: _member_of(p, "knn").update(k=0),
+    "knn k above n": lambda p: _member_of(p, "knn").update(k=len(_member_of(p, "knn")["y"]) + 1),
+    "knn k fractional": lambda p: _member_of(p, "knn").update(k=2.5),
+    "lr weights too short": lambda p: _member_of(p, "lr")["weights"].pop(),
+    "lr weight nan": lambda p: _member_of(p, "lr")["weights"].__setitem__(0, float("nan")),
+    "lr bias infinite": lambda p: _member_of(p, "lr").update(bias=float("inf")),
+}
+
+
+@pytest.mark.parametrize("edit", _CORRUPT_FIELDS.values(), ids=_CORRUPT_FIELDS.keys())
+def test_deserialize_rejects_corrupt_fields(full_payload_model, edit):
+    payload = json.loads(json.dumps(full_payload_model[0]))
+    deserialize_model(json.dumps(payload).encode())  # the unedited payload loads
+    edit(payload)
+    with pytest.raises(CorruptPayload):
+        deserialize_model(json.dumps(payload).encode())
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_payload_fields_load_and_score_or_raise(full_payload_model, data):
+    payload, x = full_payload_model
+    payload = json.loads(json.dumps(payload))
+    owner, key = data.draw(st.sampled_from([
+        ("knn", "x"), ("knn", "y"), ("knn", "k"), ("lr", "weights"), ("lr", "bias"),
+        ("standardizer", "medians"), ("standardizer", "means"), ("standardizer", "stds"),
+        ("model", "selected_features"),
+    ]))
+    if owner == "model":
+        holder = payload
+    elif owner == "standardizer":
+        holder = payload["standardizer"]
+    else:
+        holder = _member_of(payload, owner)
+    if key == "x" and data.draw(st.booleans()):
+        holder, key = holder["x"], data.draw(st.integers(0, len(holder["x"]) - 1))
+    _mutate(data, holder, key)
+    _loads_and_scores_or_raises(payload, x)
