@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from domaintriage.learn import EnsembleModel, combine_votes
+from domaintriage.learn import EnsembleModel, combine_votes, votes
 from domaintriage.model import DatasetRow, DomainTriageError, LabeledDataset
 from domaintriage.selection import LengthMismatch
 
@@ -128,7 +128,7 @@ def split_dataset(
 
     def take(idx: np.ndarray) -> LabeledDataset:
         rows: list[DatasetRow] = [dataset.rows[i] for i in idx]
-        return LabeledDataset(rows=rows, whois_complete=dataset.whois_complete)
+        return LabeledDataset(rows=rows)
 
     return take(train_idx), take(test_idx)
 
@@ -209,14 +209,12 @@ def evaluate_predictions(name: str, y_true, pred_labels, scores) -> EvalReport:
 
 def full_report(model: EnsembleModel, x17, y) -> list[EvalReport]:
     """One report per member plus the ensemble, on the same test set."""
-    x17 = np.asarray(x17, dtype=float)
     y = np.asarray(y, dtype=int)
     if len(y) == 0:
         raise EmptyCounts("empty test set")
-    xs = model.standardizer.transform(x17[:, model.selected_features])
-    member_scores = [member.scores(xs) for member in model.members]
+    member_scores = model.member_scores(x17)
     reports = [
-        evaluate_predictions(member.kind, y, (scores > 0.5).astype(int), scores)
+        evaluate_predictions(member.kind, y, votes(scores), scores)
         for member, scores in zip(model.members, member_scores)
     ]
     reports.append(evaluate_predictions("ensemble", y, *combine_votes(member_scores)))

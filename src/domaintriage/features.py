@@ -142,18 +142,20 @@ def canonicalize_registrar(raw: str, lists: RegistrarLists | None = None) -> str
 def registrar_features(
     record: WhoisRecord | None, lists: RegistrarLists | None = None
 ) -> tuple[int, int, int]:
-    """One-hot registrar category: (popular, not-popular, bad).
+    """One-hot registrar category of ``record.registrar_canonical``:
+    (popular, not-popular, bad).
 
-    All three are zero when the registrar is unknown; an unknown
-    registrar is missing data, not evidence of a category.
+    The name was canonicalized when the record was made; ``lists`` only
+    supplies the popular and bad lists.  All three are zero when the
+    registrar is unknown; an unknown registrar is missing data, not
+    evidence of a category.
     """
-    if record is None or not record.registrar_raw or not record.registrar_raw.strip():
+    if record is None or not record.registrar_canonical:
         return (0, 0, 0)
     lists = lists or default_registrar_lists()
-    canonical = canonicalize_registrar(record.registrar_raw, lists)
-    if canonical in lists.popular:
+    if record.registrar_canonical in lists.popular:
         return (1, 0, 0)
-    if canonical in lists.bad:
+    if record.registrar_canonical in lists.bad:
         return (0, 0, 1)
     return (0, 1, 0)
 

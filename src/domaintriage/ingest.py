@@ -183,26 +183,7 @@ def filter_by_date(
         if date_to is not None and row.first_seen > date_to:
             continue
         out.append(row)
-    return LabeledDataset(rows=out, whois_complete=dataset.whois_complete)
-
-
-def partition_by_whois(dataset: LabeledDataset) -> tuple[LabeledDataset, LabeledDataset]:
-    """Split into (WHOIS-complete, WHOIS-missing) on presence of f1.
-
-    Every row must already carry a feature vector.
-    """
-    with_whois, without = [], []
-    for i, row in enumerate(dataset.rows):
-        if row.features is None:
-            raise ValueError(f"row {i} ({row.domain.raw}) has no features")
-        if row.features.f1_reg_age_days is not None:
-            with_whois.append(row)
-        else:
-            without.append(row)
-    return (
-        LabeledDataset(rows=with_whois, whois_complete=True),
-        LabeledDataset(rows=without, whois_complete=False),
-    )
+    return LabeledDataset(rows=out)
 
 
 def write_dataset(dataset: LabeledDataset, path: str) -> None:

@@ -7,6 +7,13 @@ which also owns median imputation of absent values).  Training is
 fully deterministic given the seed; forests derive one child seed per
 tree (seed + tree index), which is what makes parallel and serial
 training produce identical models.
+
+``MEMBERS`` maps each member kind ("rf", "dt", "knn", "lr") to its
+class and is the one place that knows the kinds.  Each class has a
+class attribute ``kind``, a ``fit(x, y, params, seed, n_jobs)``
+classmethod, ``scores(x)`` on a standardized matrix, and
+``to_payload()`` with a ``from_payload(obj, width)`` classmethod for
+the member's fields in the model file, which validates what it loads.
 """
 
 from __future__ import annotations
@@ -37,7 +44,8 @@ class NonFiniteLoss(DomainTriageError):
 
 
 class EmptyTrainSet(DomainTriageError):
-    """kNN has no rows to look up neighbors in."""
+    """kNN has no usable training set: no rows, or labels that are not
+    one 0 or 1 per row."""
 
 
 class EmptyVotes(DomainTriageError):
@@ -327,6 +335,57 @@ def forest_predict_proba(trees: list[Tree], x) -> np.ndarray:
     return acc / len(trees)
 
 
+@dataclass
+class RandomForest:
+    """The ``rf`` member: bagged trees, scored by mean leaf probability."""
+
+    kind = "rf"
+    trees: list[Tree]
+
+    @classmethod
+    def fit(cls, x, y, params: dict, seed: int, n_jobs: int) -> "RandomForest":
+        return cls(train_random_forest(
+            x, y, n_trees=params["n_trees"], seed=seed, max_depth=params["max_depth"],
+            min_leaf=params["min_leaf"], n_jobs=n_jobs,
+        ))
+
+    def scores(self, x) -> np.ndarray:
+        return forest_predict_proba(self.trees, x)
+
+    def to_payload(self) -> dict:
+        return {"trees": [t.to_payload() for t in self.trees]}
+
+    @classmethod
+    def from_payload(cls, obj: dict, width: int) -> "RandomForest":
+        trees = [Tree.from_payload(t, width) for t in obj["trees"]]
+        if not trees:
+            raise CorruptPayload("a forest needs at least one tree")
+        return cls(trees)
+
+
+@dataclass
+class DecisionTree:
+    """The ``dt`` member: one tree, scored as a one-tree forest."""
+
+    kind = "dt"
+    tree: Tree
+
+    @classmethod
+    def fit(cls, x, y, params: dict, seed: int, n_jobs: int) -> "DecisionTree":
+        return cls(train_decision_tree(x, y, max_depth=params["max_depth"],
+                                       min_leaf=params["min_leaf"]))
+
+    def scores(self, x) -> np.ndarray:
+        return forest_predict_proba([self.tree], x)
+
+    def to_payload(self) -> dict:
+        return {"tree": self.tree.to_payload()}
+
+    @classmethod
+    def from_payload(cls, obj: dict, width: int) -> "DecisionTree":
+        return cls(Tree.from_payload(obj["tree"], width))
+
+
 # --- logistic regression ---------------------------------------------------
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -360,13 +419,33 @@ def lr_gradient(
 
 @dataclass
 class LogisticModel:
+    """The ``lr`` member: a logistic regression."""
+
+    kind = "lr"
     weights: np.ndarray
     bias: float
     final_loss: float
     losses: list[float] = field(default_factory=list, repr=False)
 
+    @classmethod
+    def fit(cls, x, y, params: dict, seed: int, n_jobs: int) -> "LogisticModel":
+        return train_logistic_regression(x, y, l2=params["l2"], lr=params["lr_rate"],
+                                         epochs=params["lr_epochs"])
+
     def scores(self, x) -> np.ndarray:
         return _sigmoid(np.asarray(x, dtype=float) @ self.weights + self.bias)
+
+    def to_payload(self) -> dict:
+        return {"weights": self.weights.tolist(), "bias": self.bias,
+                "final_loss": self.final_loss}
+
+    @classmethod
+    def from_payload(cls, obj: dict, width: int) -> "LogisticModel":
+        return cls(
+            weights=_finite(obj["weights"], "lr weights", (width,)),
+            bias=float(_finite(obj["bias"], "lr bias", ())),
+            final_loss=float(obj["final_loss"]),
+        )
 
 
 def train_logistic_regression(
@@ -440,11 +519,14 @@ def knn_scores(train_x, train_y, queries, k: int = 5) -> np.ndarray:
     every row, which is the exact full scan.
     """
     train_x = np.asarray(train_x, dtype=float)
-    train_y = np.asarray(train_y, dtype=int)
+    train_y = np.asarray(train_y)
     queries = np.asarray(queries, dtype=float)
     n = len(train_x)
     if n == 0:
         raise EmptyTrainSet("no training rows")
+    if train_y.shape != (n,) or not ((train_y == 0) | (train_y == 1)).all():
+        raise EmptyTrainSet(f"{n} training rows need {n} labels of 0 or 1, got {train_y.shape}")
+    train_y = train_y.astype(int)
     if not (1 <= k <= n):
         raise ValueError(f"k must be in 1..{n}, got {k}")
     if queries.ndim == 1:
@@ -483,7 +565,49 @@ def knn_scores(train_x, train_y, queries, k: int = 5) -> np.ndarray:
     return out
 
 
+@dataclass
+class NearestNeighbors:
+    """The ``knn`` member: training rows and labels, scored by :func:`knn_scores`."""
+
+    kind = "knn"
+    x: np.ndarray
+    y: np.ndarray
+    k: int
+
+    @classmethod
+    def fit(cls, x, y, params: dict, seed: int, n_jobs: int) -> "NearestNeighbors":
+        if not (1 <= params["knn_k"] <= len(x)):
+            raise ValueError(f"knn_k must be in 1..{len(x)}")
+        return cls(x.copy(), y.copy(), params["knn_k"])
+
+    def scores(self, x) -> np.ndarray:
+        return knn_scores(self.x, self.y, x, self.k)
+
+    def to_payload(self) -> dict:
+        return {"x": self.x.tolist(), "y": self.y.tolist(), "k": self.k}
+
+    @classmethod
+    def from_payload(cls, obj: dict, width: int) -> "NearestNeighbors":
+        x = _finite(obj["x"], "knn x", (None, width))
+        y = _finite(obj["y"], "knn y", (len(x),))
+        k = obj["k"]
+        if not ((y == 0) | (y == 1)).all():
+            raise CorruptPayload("knn labels must be 0 or 1")
+        if type(k) is not int or not 1 <= k <= len(x):
+            raise CorruptPayload(f"knn k must be an integer in 1..{len(x)}, got {k!r}")
+        return cls(x, y.astype(int), k)
+
+
 # --- ensemble ---------------------------------------------------------------
+
+MEMBERS = {cls.kind: cls for cls in (RandomForest, DecisionTree, NearestNeighbors, LogisticModel)}
+
+
+def votes(scores) -> np.ndarray:
+    """A member's vote per row: 1 (malicious) where its score is above
+    0.5, else 0."""
+    return (np.asarray(scores) > 0.5).astype(int)
+
 
 def majority_vote(votes) -> int:
     """Label 1 iff strictly more than half the votes are 1; a tie on an
@@ -499,33 +623,7 @@ def majority_vote(votes) -> int:
     return int(labels[0])
 
 
-@dataclass
-class Member:
-    """One trained classifier inside the ensemble: a kind tag plus the
-    model object it wraps."""
-
-    kind: str
-    trees: list[Tree] | None = None
-    logistic: LogisticModel | None = None
-    knn_x: np.ndarray | None = None
-    knn_y: np.ndarray | None = None
-    knn_k: int = 5
-
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        """Score in [0,1] per row of (already standardized) ``x``."""
-        if self.kind in ("rf", "dt"):
-            return forest_predict_proba(self.trees, x)
-        if self.kind == "lr":
-            return self.logistic.scores(x)
-        if self.kind == "knn":
-            return knn_scores(self.knn_x, self.knn_y, x, self.knn_k)
-        raise ValueError(f"unknown member kind {self.kind!r}")
-
-    def votes(self, x: np.ndarray) -> np.ndarray:
-        return (self.scores(x) > 0.5).astype(int)
-
-
-DEFAULT_MODELS = ("rf", "dt", "knn", "lr")
+DEFAULT_MODELS = tuple(MEMBERS)
 
 DEFAULT_PARAMS = {
     "n_trees": 100,
@@ -540,19 +638,24 @@ DEFAULT_PARAMS = {
 
 @dataclass
 class EnsembleModel:
-    """Trained members plus everything needed to score a raw
-    17-feature vector: the selected feature indices and the fitted
-    standardizer."""
+    """Trained members (instances of the classes in :data:`MEMBERS`)
+    plus everything needed to score a raw 17-feature vector: the
+    selected feature indices and the fitted standardizer."""
 
-    members: list[Member]
+    members: list
     selected_features: list[int]
     standardizer: Standardizer
     seed: int
     params: dict
 
-    @property
-    def k(self) -> int:
-        return len(self.members)
+    def member_scores(self, x17) -> list[np.ndarray]:
+        """Each member's scores, in member order, for the rows of the
+        raw (n, 17) feature matrix ``x17``."""
+        x17 = np.asarray(x17, dtype=float)
+        if x17.ndim == 1:
+            x17 = x17.reshape(1, -1)
+        xs = self.standardizer.transform(x17[:, self.selected_features])
+        return [member.scores(xs) for member in self.members]
 
 
 def train_ensemble(
@@ -577,6 +680,9 @@ def train_ensemble(
     params.update(overrides)
     if not models:
         raise ValueError("need at least one member model")
+    for kind in models:
+        if kind not in MEMBERS:
+            raise ValueError(f"unknown model kind {kind!r}")
     x17 = np.asarray(x17, dtype=float)
     y = np.asarray(y, dtype=int)
     if len(x17) == 0:
@@ -591,36 +697,8 @@ def train_ensemble(
     standardizer = Standardizer.fit(x17[:, sel])
     xs = standardizer.transform(x17[:, sel])
 
-    members = []
-    for kind in models:
-        if kind == "rf":
-            trees = train_random_forest(
-                xs, y, n_trees=params["n_trees"], seed=seed,
-                max_depth=params["max_depth"], min_leaf=params["min_leaf"],
-                n_jobs=n_jobs,
-            )
-            members.append(Member(kind="rf", trees=trees))
-        elif kind == "dt":
-            # scored as a one-tree forest
-            tree = train_decision_tree(
-                xs, y, max_depth=params["max_depth"], min_leaf=params["min_leaf"]
-            )
-            members.append(Member(kind="dt", trees=[tree]))
-        elif kind == "knn":
-            if not (1 <= params["knn_k"] <= len(xs)):
-                raise ValueError(f"knn_k must be in 1..{len(xs)}")
-            members.append(Member(kind="knn", knn_x=xs.copy(), knn_y=y.copy(),
-                                  knn_k=params["knn_k"]))
-        elif kind == "lr":
-            logistic = train_logistic_regression(
-                xs, y, l2=params["l2"], lr=params["lr_rate"],
-                epochs=params["lr_epochs"],
-            )
-            members.append(Member(kind="lr", logistic=logistic))
-        else:
-            raise ValueError(f"unknown model kind {kind!r}")
     return EnsembleModel(
-        members=members,
+        members=[MEMBERS[kind].fit(xs, y, params, seed, n_jobs) for kind in models],
         selected_features=sel,
         standardizer=standardizer,
         seed=seed,
@@ -638,10 +716,8 @@ def _raw_row(features) -> np.ndarray:
 
 def combine_votes(member_scores: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Majority-vote labels and vote fractions from each member's
-    scores; a member votes 1 where its score is above 0.5."""
-    vote_sum = np.zeros(len(member_scores[0]), dtype=int)
-    for scores in member_scores:
-        vote_sum += (scores > 0.5).astype(int)
+    scores, which vote as :func:`votes` says."""
+    vote_sum = sum(votes(scores) for scores in member_scores)
     k = len(member_scores)
     return (vote_sum > k / 2).astype(int), vote_sum / k
 
@@ -649,11 +725,7 @@ def combine_votes(member_scores: list[np.ndarray]) -> tuple[np.ndarray, np.ndarr
 def ensemble_scores(model: EnsembleModel, x17) -> tuple[np.ndarray, np.ndarray]:
     """Batch scoring: returns (labels, vote-fraction scores) for an
     (n, 17) raw feature matrix."""
-    x17 = np.asarray(x17, dtype=float)
-    if x17.ndim == 1:
-        x17 = x17.reshape(1, -1)
-    xs = model.standardizer.transform(x17[:, model.selected_features])
-    return combine_votes([member.scores(xs) for member in model.members])
+    return combine_votes(model.member_scores(x17))
 
 
 def ensemble_predict(model: EnsembleModel, features) -> tuple[int, float]:
@@ -668,28 +740,6 @@ def ensemble_predict(model: EnsembleModel, features) -> tuple[int, float]:
 
 # --- serialization ----------------------------------------------------------
 
-def _member_payload(member: Member) -> dict:
-    if member.kind == "dt":
-        return {"kind": "dt", "tree": member.trees[0].to_payload()}
-    if member.kind == "rf":
-        return {"kind": "rf", "trees": [t.to_payload() for t in member.trees]}
-    if member.kind == "lr":
-        return {
-            "kind": "lr",
-            "weights": member.logistic.weights.tolist(),
-            "bias": member.logistic.bias,
-            "final_loss": member.logistic.final_loss,
-        }
-    if member.kind == "knn":
-        return {
-            "kind": "knn",
-            "x": member.knn_x.tolist(),
-            "y": member.knn_y.tolist(),
-            "k": member.knn_k,
-        }
-    raise ValueError(f"unknown member kind {member.kind!r}")
-
-
 def _finite(value, what: str, shape: tuple) -> np.ndarray:
     """``value`` as a finite float array of ``shape``, in which None
     stands for any length of at least 1; otherwise CorruptPayload."""
@@ -701,36 +751,6 @@ def _finite(value, what: str, shape: tuple) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise CorruptPayload(f"{what} is not finite")
     return arr
-
-
-def _member_from_payload(obj: dict, width: int) -> Member:
-    kind = obj["kind"]
-    if kind == "dt":
-        return Member(kind="dt", trees=[Tree.from_payload(obj["tree"], width)])
-    if kind == "rf":
-        trees = [Tree.from_payload(t, width) for t in obj["trees"]]
-        if not trees:
-            raise CorruptPayload("a forest needs at least one tree")
-        return Member(kind="rf", trees=trees)
-    if kind == "lr":
-        return Member(
-            kind="lr",
-            logistic=LogisticModel(
-                weights=_finite(obj["weights"], "lr weights", (width,)),
-                bias=float(_finite(obj["bias"], "lr bias", ())),
-                final_loss=float(obj["final_loss"]),
-            ),
-        )
-    if kind == "knn":
-        x = _finite(obj["x"], "knn x", (None, width))
-        y = _finite(obj["y"], "knn y", (len(x),))
-        k = obj["k"]
-        if not ((y == 0) | (y == 1)).all():
-            raise CorruptPayload("knn labels must be 0 or 1")
-        if type(k) is not int or not 1 <= k <= len(x):
-            raise CorruptPayload(f"knn k must be an integer in 1..{len(x)}, got {k!r}")
-        return Member(kind="knn", knn_x=x, knn_y=y.astype(int), knn_k=k)
-    raise CorruptPayload(f"unknown member kind {kind!r}")
 
 
 def serialize_model(model: EnsembleModel) -> bytes:
@@ -745,7 +765,7 @@ def serialize_model(model: EnsembleModel) -> bytes:
             "means": model.standardizer.means.tolist(),
             "stds": model.standardizer.stds.tolist(),
         },
-        "members": [_member_payload(m) for m in model.members],
+        "members": [{"kind": m.kind, **m.to_payload()} for m in model.members],
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"),
                       allow_nan=False).encode("ascii")
@@ -773,7 +793,11 @@ def deserialize_model(data: bytes) -> EnsembleModel:
                for key in ("medians", "means", "stds")}
         if not (std["stds"] > 0).all():
             raise CorruptPayload("standardizer stds must be positive")
-        members = [_member_from_payload(m, width) for m in payload["members"]]
+        members = []
+        for obj in payload["members"]:
+            if obj["kind"] not in MEMBERS:
+                raise CorruptPayload(f"unknown member kind {obj['kind']!r}")
+            members.append(MEMBERS[obj["kind"]].from_payload(obj, width))
         if not members:
             raise CorruptPayload("a model needs at least one member")
         return EnsembleModel(

@@ -193,15 +193,9 @@ class DatasetRow:
 
 @dataclass
 class LabeledDataset:
-    """An ordered collection of labeled rows.
-
-    ``whois_complete`` records which side of the WHOIS-availability
-    partition the rows belong to (True: every row has f1; False: no row
-    does).  ``None`` means the dataset is unpartitioned or mixed.
-    """
+    """An ordered collection of labeled rows."""
 
     rows: list[DatasetRow] = field(default_factory=list)
-    whois_complete: bool | None = None
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -123,12 +123,6 @@ def prune(matrix: CorrelationMatrix, threshold: float = 0.60) -> list[int]:
     return [matrix.feature_ids[pos] for pos in kept_pos]
 
 
-def select_features(x, threshold: float = 0.60,
-                    feature_ids: list[int] | None = None) -> list[int]:
-    """Convenience wrapper: correlation matrix then prune."""
-    return prune(correlation_matrix(x, feature_ids), threshold)
-
-
 def write_matrix_csv(matrix: CorrelationMatrix, path: str) -> None:
     """Export the matrix for external heat-map plotting; undefined
     cells are left empty."""

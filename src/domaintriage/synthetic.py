@@ -171,4 +171,4 @@ def make_benchmark(
         rows.append(DatasetRow(domain=domain, label=label, source="synthetic",
                                features=features))
 
-    return LabeledDataset(rows=rows, whois_complete=True)
+    return LabeledDataset(rows=rows)

@@ -161,9 +161,6 @@ def _connect_via_socks5(proxy_host: str, proxy_port: int, host: str, port: int,
         if len(reply) < 2 or reply[1] != 0x00:
             raise WhoisConnectionRefused(f"SOCKS5 connect failed (code {reply[1:2].hex()})")
         return sock
-    except WhoisConnectionRefused:
-        sock.close()
-        raise
     except Exception:
         sock.close()
         raise
@@ -381,12 +378,15 @@ class WhoisCache:
                         continue
                     try:
                         obj = json.loads(line)
+                        if not (isinstance(obj, dict) and isinstance(obj.get("domain"), str)
+                                and isinstance(obj.get("raw"), str)):
+                            raise ValueError("not an object with a string domain and raw")
                         entry = _CacheEntry(
                             raw=obj["raw"],
                             fetched_on=dt.date.fromisoformat(obj["fetched_on"]),
                         )
                         self._entries[obj["domain"]] = entry
-                    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+                    except (KeyError, TypeError, ValueError) as exc:
                         raise DomainTriageError(f"{path}:{lineno}: bad cache line: {exc}") from exc
         except FileNotFoundError:
             pass

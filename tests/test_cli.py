@@ -232,6 +232,19 @@ def test_extract_uses_cache(pipeline, capsys, tmp_path):
     assert first[2] == "45"  # f1: 2020-04-01 to 2020-05-16
 
 
+@pytest.mark.parametrize("line", [
+    "[1]",
+    '{"domain": "garden.com", "fetched_on": "2020-05-01", "raw": 5}',
+], ids=["not an object", "raw not a string"])
+def test_extract_rejects_malformed_cache_line(pipeline, capsys, tmp_path, line):
+    cache_path = tmp_path / "cache.jsonl"
+    cache_path.write_text(line + "\n", encoding="utf-8")
+    code = main(["extract", "--in", pipeline["dataset"], "--cache", str(cache_path),
+                 "--reference-date", REF, "--out", str(tmp_path / "fx.csv")])
+    assert code == 1
+    assert f"error: {cache_path}:1: bad cache line" in capsys.readouterr().err
+
+
 def test_segment_command(capsys):
     code, (out,) = _run(capsys, "segment", "--word", "coronaviruspreventionsanantonio")
     assert code == 0

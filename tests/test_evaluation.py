@@ -84,10 +84,9 @@ def test_split_dataset_carries_rows_and_flag():
         DatasetRow(domain=parse_domain(f"d{i}.com"), label=i % 2)
         for i in range(20)
     ]
-    ds = LabeledDataset(rows=rows, whois_complete=True)
+    ds = LabeledDataset(rows=rows)
     train, test = split_dataset(ds, 0.8, seed=3)
     assert len(train) == 16 and len(test) == 4
-    assert train.whois_complete is True and test.whois_complete is True
     got = sorted(r.domain.raw for r in list(train) + list(test))
     assert got == sorted(r.domain.raw for r in rows)
 

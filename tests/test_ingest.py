@@ -11,7 +11,6 @@ from domaintriage.ingest import (
     filter_by_date,
     load_feed,
     merge_dedup,
-    partition_by_whois,
     read_dataset,
     read_features,
     write_dataset,
@@ -153,26 +152,6 @@ def test_filter_by_date_bad_window():
     ds = LabeledDataset(rows=[_row("a.com")])
     with pytest.raises(InvalidRange):
         filter_by_date(ds, dt.date(2020, 5, 1), dt.date(2020, 4, 1))
-
-
-# --- WHOIS partition --------------------------------------------------------
-
-def test_partition_by_whois():
-    import dataclasses
-    with_f1 = _row("a.com", with_features=True)
-    with_f1 = dataclasses.replace(
-        with_f1, features=dataclasses.replace(with_f1.features, f1_reg_age_days=12))
-    without = _row("b.com", with_features=True)
-    got_with, got_without = partition_by_whois(LabeledDataset(rows=[with_f1, without]))
-    assert [r.domain.raw for r in got_with.rows] == ["a.com"]
-    assert got_with.whois_complete is True
-    assert [r.domain.raw for r in got_without.rows] == ["b.com"]
-    assert got_without.whois_complete is False
-
-
-def test_partition_requires_features():
-    with pytest.raises(ValueError):
-        partition_by_whois(LabeledDataset(rows=[_row("a.com")]))
 
 
 # --- dataset CSV ------------------------------------------------------------

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from domaintriage import learn
 from domaintriage.learn import (
+    DEFAULT_MODELS,
+    MEMBERS,
     ConstantColumn,
     CorruptPayload,
     EmptyData,
@@ -16,7 +18,7 @@ from domaintriage.learn import (
     EmptyVotes,
     FeatureDimensionMismatch,
     LogisticModel,
-    Member,
+    NearestNeighbors,
     NonFiniteLoss,
     Standardizer,
     Tree,
@@ -34,6 +36,7 @@ from domaintriage.learn import (
     train_ensemble,
     train_logistic_regression,
     train_random_forest,
+    votes,
 )
 from domaintriage.model import DomainTriageError
 from oracles import forest_score_recursive, knn_score_bruteforce
@@ -414,22 +417,18 @@ def test_knn_overflow_takes_exact_scan():
     assert got.tolist() == _knn_oracle_scores(train_x, train_y, queries, 5)
 
 
-def _knn_member(train_x, train_y, k):
-    return Member(kind="knn", knn_x=train_x, knn_y=train_y, knn_k=k)
-
-
 def test_knn_tie_score_is_benign():
-    member = _knn_member(np.array([[0.0], [2.0]]), np.array([1, 0]), k=2)
+    member = NearestNeighbors(np.array([[0.0], [2.0]]), np.array([1, 0]), k=2)
     score = member.scores(np.array([[1.0]]))[0]
-    label = member.votes(np.array([[1.0]]))[0]
+    label = votes(member.scores(np.array([[1.0]])))[0]
     assert score == 0.5
     assert label == 0
 
 
 def test_knn_equidistant_prefers_lower_row():
-    member = _knn_member(np.array([[1.0], [1.0], [1.0]]), np.array([1, 0, 0]), k=1)
+    member = NearestNeighbors(np.array([[1.0], [1.0], [1.0]]), np.array([1, 0, 0]), k=1)
     score = member.scores(np.array([[1.0]]))[0]
-    label = member.votes(np.array([[1.0]]))[0]
+    label = votes(member.scores(np.array([[1.0]])))[0]
     assert (label, score) == (1, 1.0)
 
 
@@ -444,6 +443,14 @@ def test_knn_validation():
         knn_scores(x, y, [[0.0, 0.0]], k=0)
     with pytest.raises(FeatureDimensionMismatch):
         knn_scores(x, y, [[0.0, 0.0, 0.0]], k=1)
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 1, 1, 1], [7, 7, 7], [1]],
+                         ids=["extra labels", "label of 7", "one label"])
+def test_knn_rejects_labels_that_do_not_fit(labels):
+    x = np.array([[0.0], [1.0], [2.0]])
+    with pytest.raises(EmptyTrainSet):
+        knn_scores(x, np.array(labels), [[0.5]], k=3)
 
 
 def test_knn_chunked_batches_consistent():
@@ -500,7 +507,7 @@ def test_train_ensemble_members_and_order():
     x, y = _raw17()
     model = train_ensemble(x, y, [0, 4, 9, 13], seed=1, n_trees=10)
     assert [m.kind for m in model.members] == ["rf", "dt", "knn", "lr"]
-    assert model.k == 4
+    assert len(model.members) == 4
     assert model.selected_features == [0, 4, 9, 13]
     assert model.params["n_trees"] == 10
 
@@ -510,12 +517,12 @@ def test_ensemble_vote_aggregation_consistent():
     model = train_ensemble(x, y, [0, 4, 9], seed=2, n_trees=8)
     labels, scores = ensemble_scores(model, x)
     xs = model.standardizer.transform(x[:, model.selected_features])
-    vote_sum = sum(m.votes(xs) for m in model.members)
-    assert (scores == vote_sum / model.k).all()
-    assert (labels == (vote_sum > model.k / 2).astype(int)).all()
+    vote_sum = sum(votes(m.scores(xs)) for m in model.members)
+    assert (scores == vote_sum / len(model.members)).all()
+    assert (labels == (vote_sum > len(model.members) / 2).astype(int)).all()
     for i in range(0, len(x), 37):
-        votes = [int(m.votes(xs[i:i + 1])[0]) for m in model.members]
-        assert labels[i] == majority_vote(votes)
+        row_votes = [int(votes(m.scores(xs[i:i + 1]))[0]) for m in model.members]
+        assert labels[i] == majority_vote(row_votes)
 
 
 def test_ensemble_learns_separable_data():
@@ -529,7 +536,7 @@ def test_ensemble_subset_of_models():
     x, y = _raw17(seed=53)
     model = train_ensemble(x, y, [4, 9], models=("dt", "lr", "knn"), seed=0)
     assert [m.kind for m in model.members] == ["dt", "lr", "knn"]
-    assert model.k == 3
+    assert len(model.members) == 3
 
 
 def test_ensemble_predict_single_vector():
@@ -550,6 +557,33 @@ def test_ensemble_predict_rejects_wrong_width():
     model = train_ensemble(x, y, [0, 4], seed=0, n_trees=4)
     with pytest.raises(FeatureDimensionMismatch):
         ensemble_predict(model, [0.0] * 16)
+
+
+def test_member_table_covers_the_default_models():
+    assert set(MEMBERS) == set(DEFAULT_MODELS)
+    assert all(MEMBERS[kind].kind == kind for kind in MEMBERS)
+
+
+@pytest.mark.parametrize("kind", list(MEMBERS))
+def test_member_payload_round_trip_scores_bit_equal(kind):
+    x, y = _raw17(seed=63)
+    xs = Standardizer.fit(x[:, [0, 4, 9]]).transform(x[:, [0, 4, 9]])
+    member = MEMBERS[kind].fit(xs, y, dict(learn.DEFAULT_PARAMS, n_trees=5), 3, 1)
+    assert member.kind == kind
+    payload = json.loads(json.dumps(member.to_payload()))
+    clone = MEMBERS[kind].from_payload(payload, width=3)
+    assert clone.scores(xs).tolist() == member.scores(xs).tolist()
+
+
+def test_train_ensemble_checks_kinds_before_training(monkeypatch):
+    x, y = _raw17(seed=64)
+
+    def trained(*args, **kwargs):
+        raise AssertionError("a member was trained before the kinds were checked")
+
+    monkeypatch.setattr(learn, "train_random_forest", trained)
+    with pytest.raises(ValueError, match="alien"):
+        train_ensemble(x, y, [0, 4], models=("rf", "alien"), n_trees=2)
 
 
 def test_train_ensemble_validation():
@@ -731,9 +765,7 @@ def _loads_and_scores_or_raises(payload, x) -> None:
         return
     labels, scores = ensemble_scores(model, x)
     assert ((scores >= 0.0) & (scores <= 1.0)).all()
-    xs = model.standardizer.transform(x[:, model.selected_features])
-    for m in model.members:
-        member_scores = m.scores(xs)
+    for member_scores in model.member_scores(x):
         assert ((member_scores >= 0.0) & (member_scores <= 1.0)).all()
 
 

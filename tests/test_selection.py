@@ -13,7 +13,6 @@ from domaintriage.selection import (
     correlation_matrix,
     pearson,
     prune,
-    select_features,
     write_matrix_csv,
 )
 from oracles import pearson_definitional
@@ -112,7 +111,7 @@ def test_prune_drops_correlated_keeps_first():
     base = [rng.uniform(0, 1) for _ in range(50)]
     other = [rng.uniform(0, 1) for _ in range(50)]
     x = np.array([[b, 2 * b + 1, o] for b, o in zip(base, other)])
-    kept = select_features(x, threshold=0.60)
+    kept = prune(correlation_matrix(x), 0.60)
     assert kept == [0, 2]
 
 

@@ -12,7 +12,6 @@ def test_benchmark_shape_and_balance():
     assert len(ds) == 400
     labels = ds.labels()
     assert sum(labels) == 200
-    assert ds.whois_complete is True
 
 
 def test_benchmark_deterministic():

@@ -488,12 +488,22 @@ def test_cache_appends_single_lines(tmp_path):
 
 def test_cache_rejects_bad_lines(tmp_path):
     path = tmp_path / "cache.jsonl"
-    path.write_text('{"domain": "x.com"}\n', encoding="utf-8")
-    with pytest.raises(DomainTriageError):
-        WhoisCache(str(path))
-    path.write_text("not json\n", encoding="utf-8")
-    with pytest.raises(DomainTriageError):
-        WhoisCache(str(path))
+    good = '{"domain": "a.com", "fetched_on": "2020-05-01", "raw": "ok"}\n'
+    for bad in (
+        '{"domain": "x.com"}',
+        "not json",
+        "[1]",
+        '"x.com"',
+        "null",
+        '{"domain": "x.com", "fetched_on": "2020-05-01", "raw": 5}',
+        '{"domain": "x.com", "fetched_on": "2020-05-01", "raw": null}',
+        '{"domain": 5, "fetched_on": "2020-05-01", "raw": "r"}',
+        '{"domain": ["x.com"], "fetched_on": "2020-05-01", "raw": "r"}',
+        '{"domain": "x.com", "fetched_on": 20200501, "raw": "r"}',
+    ):
+        path.write_text(good + bad + "\n" + good, encoding="utf-8")
+        with pytest.raises(DomainTriageError, match=r":2: bad cache line"):
+            WhoisCache(str(path))
 
 
 def test_cache_rejects_future_date(tmp_path):
