@@ -14,10 +14,17 @@ class attribute ``kind``, a ``fit(x, y, params, seed, n_jobs)``
 classmethod, ``scores(x)`` on a standardized matrix, and
 ``to_payload()`` with a ``from_payload(obj, width)`` classmethod for
 the member's fields in the model file, which validates what it loads.
+
+The model file is JSON (format 3).  The members' arrays (tree columns,
+kNN rows and labels) are stored as ``{"dtype", "shape", "b64"}``
+objects: the array's little-endian bytes, base64-encoded (see
+:func:`_pack`); the standardizer, the ``lr`` weights and the scalars
+are plain JSON.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -27,7 +34,7 @@ import numpy as np
 
 from domaintriage.model import FEATURE_NAMES, DomainTriageError, FeatureVector
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class EmptyData(DomainTriageError):
@@ -113,9 +120,6 @@ class Standardizer:
 
 # --- decision trees and forests -------------------------------------------
 
-_TREE_FIELDS = ("feature", "threshold", "right", "prob")
-
-
 @dataclass
 class Tree:
     """One decision tree as a flat preorder node table.
@@ -134,30 +138,34 @@ class Tree:
     prob: np.ndarray
 
     def to_payload(self) -> dict:
-        return {key: getattr(self, key).tolist() for key in _TREE_FIELDS}
+        """Three columns: ``feature`` and ``right`` as int32, and
+        ``value``, the threshold at a split and the probability at a
+        leaf."""
+        value = np.where(self.feature >= 0, self.threshold, self.prob)
+        return {"feature": _pack(self.feature, "<i4"), "right": _pack(self.right, "<i4"),
+                "value": _pack(value, "<f8")}
 
     @classmethod
     def from_payload(cls, obj: dict, width: int) -> "Tree":
         """Load and validate one tree whose splits may use features
         0..width-1; anything else raises CorruptPayload."""
-        arrays = [np.asarray(obj[key], dtype=float) for key in _TREE_FIELDS]
-        feature, threshold, right, prob = arrays
-        n = len(feature) if feature.ndim == 1 else 0
-        if n == 0 or any(a.shape != (n,) for a in arrays):
+        feature = _unpack(obj["feature"], "<i4", 1, "tree feature").astype(np.intp)
+        right = _unpack(obj["right"], "<i4", 1, "tree right").astype(np.intp)
+        value = _unpack(obj["value"], "<f8", 1, "tree value")
+        n = len(feature)
+        if n == 0 or right.shape != (n,) or value.shape != (n,):
             raise CorruptPayload("tree arrays must be non-empty and of equal length")
-        if not np.isfinite(threshold).all():
-            raise CorruptPayload("tree threshold is not finite")
-        if not ((prob >= 0.0) & (prob <= 1.0)).all():
-            raise CorruptPayload("tree probability outside [0, 1]")
-        if not ((feature == np.floor(feature)) & (right == np.floor(right))).all():
-            raise CorruptPayload("tree node indices must be whole numbers")
+        if not np.isfinite(value).all():
+            raise CorruptPayload("tree value is not finite")
         split = feature >= 0
+        if not (split | ((value >= 0.0) & (value <= 1.0))).all():
+            raise CorruptPayload("tree probability outside [0, 1]")
         if not ((feature == -1) | (split & (feature < width))).all():
             raise CorruptPayload(f"tree feature index outside -1..{width - 1}")
         if not ((right >= 0) & (right < n) & (~split | (right > np.arange(n) + 1))).all():
             raise CorruptPayload("tree child index does not follow its parent")
-        return cls(feature=feature.astype(np.intp), threshold=threshold,
-                   right=right.astype(np.intp), prob=prob)
+        return cls(feature=feature, threshold=np.where(split, value, 0.0),
+                   right=right, prob=np.where(split, 0.0, value))
 
 
 def _best_split(x, y, idx, feat_ids, min_leaf):
@@ -584,12 +592,12 @@ class NearestNeighbors:
         return knn_scores(self.x, self.y, x, self.k)
 
     def to_payload(self) -> dict:
-        return {"x": self.x.tolist(), "y": self.y.tolist(), "k": self.k}
+        return {"x": _pack(self.x, "<f8"), "y": _pack(self.y, "|u1"), "k": self.k}
 
     @classmethod
     def from_payload(cls, obj: dict, width: int) -> "NearestNeighbors":
-        x = _finite(obj["x"], "knn x", (None, width))
-        y = _finite(obj["y"], "knn y", (len(x),))
+        x = _finite(_unpack(obj["x"], "<f8", 2, "knn x"), "knn x", (None, width))
+        y = _finite(_unpack(obj["y"], "|u1", 1, "knn y"), "knn y", (len(x),))
         k = obj["k"]
         if not ((y == 0) | (y == 1)).all():
             raise CorruptPayload("knn labels must be 0 or 1")
@@ -739,6 +747,38 @@ def ensemble_predict(model: EnsembleModel, features) -> tuple[int, float]:
 
 
 # --- serialization ----------------------------------------------------------
+
+def _pack(arr, dtype: str) -> dict:
+    """``arr`` as ``dtype`` (a little-endian or one-byte numpy type
+    string) in a JSON object: its dtype, its shape and its bytes in
+    base64."""
+    arr = np.ascontiguousarray(arr, dtype=dtype)
+    return {"dtype": dtype, "shape": list(arr.shape),
+            "b64": base64.b64encode(arr.tobytes()).decode("ascii")}
+
+
+def _unpack(obj, dtype: str, ndim: int, what: str) -> np.ndarray:
+    """The read-only array that :func:`_pack` stored as ``obj``.  Its
+    stored dtype must equal ``dtype`` (which is never built from the
+    file), its shape must be ``ndim`` non-negative integers, and its
+    base64 must decode to exactly the bytes of that shape; anything
+    else raises CorruptPayload."""
+    if not isinstance(obj, dict) or obj.get("dtype") != dtype:
+        raise CorruptPayload(f"{what} must be an array object of dtype {dtype}")
+    shape, text = obj.get("shape"), obj.get("b64")
+    if not (isinstance(shape, list) and len(shape) == ndim
+            and all(type(d) is int and d >= 0 for d in shape)):
+        raise CorruptPayload(f"{what} shape must be {ndim} non-negative integers, got {shape!r}")
+    if not isinstance(text, str):
+        raise CorruptPayload(f"{what} b64 must be a string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or text that is not ASCII
+        raise CorruptPayload(f"{what} is not base64: {exc}") from exc
+    if len(raw) != math.prod(shape) * np.dtype(dtype).itemsize:
+        raise CorruptPayload(f"{what} holds {len(raw)} bytes, which do not fit shape {shape}")
+    return np.frombuffer(raw, dtype=dtype).reshape(shape)
+
 
 def _finite(value, what: str, shape: tuple) -> np.ndarray:
     """``value`` as a finite float array of ``shape``, in which None

@@ -14,9 +14,9 @@ import json
 import os
 import re
 import socket
+import sys
 import threading
 import time
-from dataclasses import dataclass
 
 from domaintriage.features import RegistrarLists, canonicalize_registrar
 from domaintriage.model import Domain, DomainTriageError, WhoisRecord
@@ -353,10 +353,31 @@ def parse_whois(
 
 # --- cache ---------------------------------------------------------------
 
-@dataclass
-class _CacheEntry:
-    raw: str
-    fetched_on: dt.date
+def _cache_line(line: bytes) -> tuple[str, tuple[str, dt.date]]:
+    """The domain and its (raw, fetched_on) entry from one cache line;
+    a line that is not UTF-8 JSON of the documented shape raises
+    KeyError, TypeError or ValueError."""
+    obj = json.loads(line.decode("utf-8"))
+    if not (isinstance(obj, dict) and isinstance(obj.get("domain"), str)
+            and isinstance(obj.get("raw"), str)):
+        raise ValueError("not an object with a string domain and raw")
+    return obj["domain"], (obj["raw"], dt.date.fromisoformat(obj["fetched_on"]))
+
+
+def _close_last_line(fh) -> bytes:
+    """What an append to the cache file ``fh``, whose last line has no
+    newline, must start with: a newline if that line is a whole entry;
+    nothing if it is the torn remains of a killed append, which is cut
+    off here."""
+    fh.seek(0)
+    data = fh.read()
+    start = data.rfind(b"\n") + 1
+    try:
+        _cache_line(data[start:])
+    except (KeyError, TypeError, ValueError):
+        fh.truncate(start)
+        return b""
+    return b"\n"
 
 
 class WhoisCache:
@@ -364,30 +385,32 @@ class WhoisCache:
     ``{"domain": ..., "fetched_on": "YYYY-MM-DD", "raw": ...}``.
 
     The newest line for a domain wins on load; each put appends a
-    single line, so concurrent readers never see a torn entry.
+    single line, so concurrent readers never see a torn entry.  A bad
+    line raises ``DomainTriageError`` with its ``path:lineno``, except
+    a bad last line with no newline at its end: that is what an append
+    killed part-way leaves, so the load drops it with a warning on
+    stderr, and the next put cuts it off before appending.
     """
 
     def __init__(self, path: str):
         self.path = path
-        self._entries: dict[str, _CacheEntry] = {}
+        self._entries: dict[str, tuple[str, dt.date]] = {}
         try:
-            with open(path, encoding="utf-8") as fh:
+            # bytes, so that each line is decoded inside its own try
+            with open(path, "rb") as fh:
                 for lineno, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if not line:
+                    if not line.strip():
                         continue
                     try:
-                        obj = json.loads(line)
-                        if not (isinstance(obj, dict) and isinstance(obj.get("domain"), str)
-                                and isinstance(obj.get("raw"), str)):
-                            raise ValueError("not an object with a string domain and raw")
-                        entry = _CacheEntry(
-                            raw=obj["raw"],
-                            fetched_on=dt.date.fromisoformat(obj["fetched_on"]),
-                        )
-                        self._entries[obj["domain"]] = entry
+                        domain, entry = _cache_line(line)
                     except (KeyError, TypeError, ValueError) as exc:
+                        # only the last line can lack its newline
+                        if not line.endswith(b"\n"):
+                            print(f"warning: {path}:{lineno}: dropped a torn last line: {exc}",
+                                  file=sys.stderr)
+                            break
                         raise DomainTriageError(f"{path}:{lineno}: bad cache line: {exc}") from exc
+                    self._entries[domain] = entry
         except FileNotFoundError:
             pass
 
@@ -398,10 +421,7 @@ class WhoisCache:
         return domain_raw in self._entries
 
     def get(self, domain_raw: str) -> tuple[str, dt.date] | None:
-        entry = self._entries.get(domain_raw)
-        if entry is None:
-            return None
-        return entry.raw, entry.fetched_on
+        return self._entries.get(domain_raw)
 
     def put(self, domain_raw: str, raw: str, fetched_on: dt.date) -> None:
         if fetched_on > dt.date.today():
@@ -409,10 +429,15 @@ class WhoisCache:
         line = json.dumps(
             {"domain": domain_raw, "fetched_on": fetched_on.isoformat(), "raw": raw},
             ensure_ascii=True,
-        )
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-        self._entries[domain_raw] = _CacheEntry(raw=raw, fetched_on=fetched_on)
+        ).encode("ascii") + b"\n"
+        with open(self.path, "ab+") as fh:
+            size = fh.seek(0, os.SEEK_END)
+            if size:
+                fh.seek(size - 1)
+                if fh.read(1) != b"\n":
+                    line = _close_last_line(fh) + line
+            fh.write(line)
+        self._entries[domain_raw] = (raw, fetched_on)
 
 
 def fetch_or_cache(

@@ -102,8 +102,9 @@ def oracle_segment(chunk: str, model):
 
 
 def forest_score_recursive(trees, row) -> float:
-    """Mean leaf probability of one row over trees given as format-2
-    payload dicts of plain lists: a split node i sends the row to node
+    """Mean leaf probability of one row over trees given as dicts of
+    plain lists ``feature``, ``threshold``, ``right`` and ``prob``, the
+    columns of a ``learn.Tree``: a split node i sends the row to node
     i + 1 when ``row[feature[i]] <= threshold[i]`` and to ``right[i]``
     otherwise; a leaf has feature -1.  The trees' leaf values are added
     in tree order, then divided by the tree count."""

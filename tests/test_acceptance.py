@@ -310,7 +310,7 @@ def test_c10_train_determinism(tmp_path):
     blob_a = Path(model_a).read_bytes()
     assert blob_a == Path(model_b).read_bytes()
     assert len(blob_a) > 100
-    assert json.loads(blob_a)["format_version"] == 2
+    assert json.loads(blob_a)["format_version"] == 3
 
     rng = np.random.default_rng(10)
     x = rng.normal(size=(300, 6))

@@ -245,6 +245,21 @@ def test_extract_rejects_malformed_cache_line(pipeline, capsys, tmp_path, line):
     assert f"error: {cache_path}:1: bad cache line" in capsys.readouterr().err
 
 
+def test_predict_rejects_cache_line_that_is_not_utf8(pipeline, capsys, tmp_path):
+    sel, model = str(tmp_path / "sel.json"), str(tmp_path / "m.json")
+    assert main(["select", "--in", pipeline["features"], "--out", sel]) == 0
+    assert main(["train", "--in", pipeline["features"], "--selection", sel,
+                 "--trees", "3", "--out", model]) == 0
+    cache_path = tmp_path / "cache.jsonl"
+    good = b'{"domain": "garden.com", "fetched_on": "2020-05-01", "raw": "ok"}\n'
+    cache_path.write_bytes(good + b"\xff\xfe\n" + good)
+    capsys.readouterr()
+    code = main(["predict", "--model", model, "--domain", "garden.com",
+                 "--cache", str(cache_path), "--reference-date", REF])
+    assert code == 1
+    assert f"error: {cache_path}:2: bad cache line" in capsys.readouterr().err
+
+
 def test_segment_command(capsys):
     code, (out,) = _run(capsys, "segment", "--word", "coronaviruspreventionsanantonio")
     assert code == 0

@@ -1,6 +1,8 @@
+import base64
 import itertools
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -261,16 +263,17 @@ def test_lockstep_forest_equals_recursive_walk():
         y = (x[:, 0] + rng.normal(scale=1.0, size=n) > 1.5).astype(int)
         trees = train_random_forest(x, y, n_trees=int(rng.integers(1, 12)), seed=trial,
                                     min_leaf=int(rng.integers(1, 4)))
-        payloads = [t.to_payload() for t in trees]
+        tables = [{key: getattr(t, key).tolist() for key in ("feature", "threshold", "right", "prob")}
+                  for t in trees]
         q = rng.integers(-1, 5, size=(60, p)).astype(float)
         # put queries exactly on split thresholds, where <= decides the side
-        splits = [(f, t) for tree in payloads
+        splits = [(f, t) for tree in tables
                   for f, t in zip(tree["feature"], tree["threshold"]) if f >= 0]
         for row in q[:40]:
             for f, t in (splits[int(i)] for i in rng.integers(0, len(splits), size=2)):
                 row[f] = t
         got = forest_predict_proba(trees, q)
-        want = [forest_score_recursive(payloads, row.tolist()) for row in q]
+        want = [forest_score_recursive(tables, row.tolist()) for row in q]
         assert got.tolist() == want, trial
 
 
@@ -627,7 +630,22 @@ def test_serialize_is_deterministic():
     assert blob == serialize_model(model)
     assert blob == serialize_model(deserialize_model(blob))
     payload = json.loads(blob)
-    assert payload["format_version"] == 2
+    assert payload["format_version"] == 3
+
+
+# a dt + knn model on one feature, as the format-2 code wrote it
+_V2_FILE = (
+    b'{"format_version":2,"members":[{"kind":"dt","tree":{"feature":[0,-1,-1],'
+    b'"prob":[0.0,0.0,1.0],"right":[2,0,0],"threshold":[0.0,0.0,0.0]}},{"k":3,'
+    b'"kind":"knn","x":[[-1.5932550136313832],[-1.3035722838802226],'
+    b'[-1.013889554129062],[-0.7242068243779014],[-0.43452409462674085],'
+    b'[-0.14484136487558028],[0.14484136487558028],[0.43452409462674085],'
+    b'[0.7242068243779014],[1.013889554129062],[1.3035722838802226],'
+    b'[1.5932550136313832]],"y":[0,0,0,0,0,0,1,1,1,1,1,1]}],"params":{"knn_k":3,'
+    b'"l2":0.0001,"lr_epochs":500,"lr_rate":0.1,"max_depth":12,"min_leaf":5,'
+    b'"n_trees":100},"seed":0,"selected_features":[4],"standardizer":{"means":[5.5],'
+    b'"medians":[5.5],"stds":[3.452052529534663]}}'
+)
 
 
 def test_deserialize_version_mismatch():
@@ -645,6 +663,9 @@ def test_deserialize_version_mismatch():
     payload["members"][0]["tree"] = {"f": 0, "t": 0.5, "l": {"p": 0.0}, "r": {"p": 1.0}}
     with pytest.raises(VersionMismatch):
         deserialize_model(json.dumps(payload).encode())
+    # so is a v2 file, whose arrays were JSON number lists
+    with pytest.raises(VersionMismatch, match="format_version 2, expected 3"):
+        deserialize_model(_V2_FILE)
 
 
 def test_deserialize_corrupt_payloads():
@@ -653,7 +674,7 @@ def test_deserialize_corrupt_payloads():
     with pytest.raises(CorruptPayload):
         deserialize_model(b"[1, 2, 3]")
     with pytest.raises(CorruptPayload):
-        deserialize_model(b'{"format_version": 2}')
+        deserialize_model(b'{"format_version": 3}')
     x, y = _raw17(seed=60)
     model = train_ensemble(x, y, [4], models=("dt",))
     payload = json.loads(serialize_model(model))
@@ -671,14 +692,86 @@ def _tree(feature, threshold, right, prob) -> Tree:
                 right=np.array(right), prob=np.array(prob, dtype=float))
 
 
+def _b64(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
+
+
 def test_tree_node_dict_round_trip():
     leaf = _tree([-1], [0.0], [0], [0.25])
-    assert leaf.to_payload() == {"feature": [-1], "threshold": [0.0], "right": [0],
-                                 "prob": [0.25]}
+    assert leaf.to_payload() == {
+        "feature": {"dtype": "<i4", "shape": [1], "b64": _b64(struct.pack("<i", -1))},
+        "right": {"dtype": "<i4", "shape": [1], "b64": _b64(struct.pack("<i", 0))},
+        "value": {"dtype": "<f8", "shape": [1], "b64": _b64(struct.pack("<d", 0.25))},
+    }
     split = _tree([2, -1, -1], [0.5, 0.0, 0.0], [2, 0, 0], [0.0, 0.0, 1.0])
+    # value: the threshold at the split, the probabilities at the leaves
+    assert split.to_payload()["value"]["b64"] == _b64(struct.pack("<3d", 0.5, 0.0, 1.0))
     again = Tree.from_payload(split.to_payload(), width=3)
     assert again.to_payload() == split.to_payload()
+    for key in ("feature", "threshold", "right", "prob"):
+        assert getattr(again, key).tolist() == getattr(split, key).tolist(), key
     assert split.feature[0] != -1 and leaf.feature[0] == -1
+
+
+# The payload tests below edit a "plain" view of a format-3 payload, in
+# which every packed array is a list, and pack the lists again before
+# loading.  A list is packed with its field's dtype when it holds only
+# values of that type, as "<f8" (a dtype the loader rejects for an
+# integer field) when numpy reads it as floats, and else left a bare
+# list (which the loader rejects too).
+
+_ARRAY_DTYPES = {"feature": "<i4", "right": "<i4", "value": "<f8", "x": "<f8", "y": "|u1"}
+_INT_RANGES = {"<i4": (-2**31, 2**31), "|u1": (0, 256)}
+
+
+def _decoded(obj) -> list:
+    raw = base64.b64decode(obj["b64"])
+    return np.frombuffer(raw, dtype=obj["dtype"]).reshape(obj["shape"]).tolist()
+
+
+def _packed_like(value, dtype):
+    if not isinstance(value, list):
+        return value
+    if dtype in _INT_RANGES:
+        lo, hi = _INT_RANGES[dtype]
+        if not all(type(v) is int and lo <= v < hi for v in value):
+            dtype = "<f8"
+    try:
+        arr = np.array(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        return value
+    return {"dtype": dtype, "shape": list(arr.shape), "b64": _b64(arr.tobytes())}
+
+
+def _array_holders(payload):
+    """The objects of a payload that hold packed arrays: each tree and
+    the knn member."""
+    for member in payload["members"]:
+        if member.get("kind") == "rf" and isinstance(member.get("trees"), list):
+            yield from member["trees"]
+        elif member.get("kind") == "dt":
+            yield member.get("tree")
+        elif member.get("kind") == "knn":
+            yield member
+
+
+def _plain(payload) -> dict:
+    """A copy of ``payload`` with every packed array as a list."""
+    payload = json.loads(json.dumps(payload))
+    for holder in _array_holders(payload):
+        for key in _ARRAY_DTYPES.keys() & holder.keys():
+            holder[key] = _decoded(holder[key])
+    return payload
+
+
+def _repacked(plain) -> bytes:
+    """Model bytes for a plain view, each list packed again."""
+    payload = json.loads(json.dumps(plain))
+    for holder in _array_holders(payload):
+        if isinstance(holder, dict):
+            for key in _ARRAY_DTYPES.keys() & holder.keys():
+                holder[key] = _packed_like(holder[key], _ARRAY_DTYPES[key])
+    return json.dumps(payload).encode()
 
 
 @pytest.fixture(scope="module")
@@ -691,7 +784,7 @@ def tree_payload_model():
 
 @pytest.mark.parametrize("edit", [
     lambda t: t.update(feature=t["feature"][:-1]),
-    lambda t: t.update(feature=[], threshold=[], right=[], prob=[]),
+    lambda t: t.update(feature=[], value=[], right=[]),
     lambda t: t.pop("right"),
     lambda t: t.update(feature=[3] + t["feature"][1:]),
     lambda t: t.update(feature=[-2] + t["feature"][1:]),
@@ -699,22 +792,24 @@ def tree_payload_model():
     lambda t: t.update(right=[1] + t["right"][1:]),
     lambda t: t.update(right=[0] + t["right"][1:]),
     lambda t: t.update(right=[len(t["right"])] + t["right"][1:]),
-    lambda t: t.update(threshold=[float("nan")] + t["threshold"][1:]),
-    lambda t: t.update(threshold=[float("inf")] + t["threshold"][1:]),
-    lambda t: t.update(prob=t["prob"][:-1] + [1.5]),
-    lambda t: t.update(prob=t["prob"][:-1] + [-0.25]),
-    lambda t: t.update(prob=t["prob"][:-1] + [float("nan")]),
+    # the root is a split, so value[0] is a threshold
+    lambda t: t.update(value=[float("nan")] + t["value"][1:]),
+    lambda t: t.update(value=[float("inf")] + t["value"][1:]),
+    # the last node in preorder is a leaf, so value[-1] is a probability
+    lambda t: t.update(value=t["value"][:-1] + [1.5]),
+    lambda t: t.update(value=t["value"][:-1] + [-0.25]),
+    lambda t: t.update(value=t["value"][:-1] + [float("nan")]),
     lambda t: t.update(feature="0"),
 ])
 def test_deserialize_rejects_corrupt_tree(tree_payload_model, edit):
     payload, _ = tree_payload_model
     for member, pick in ((0, lambda m: m["trees"][1]), (1, lambda m: m["tree"])):
-        bad = json.loads(json.dumps(payload))
+        bad = _plain(payload)
         tree = pick(bad["members"][member])
         assert tree["feature"][0] >= 0  # the root is a split
         edit(tree)
         with pytest.raises(CorruptPayload):
-            deserialize_model(json.dumps(bad).encode())
+            deserialize_model(_repacked(bad))
 
 
 def test_deserialize_rejects_empty_forest_and_deep_nesting(tree_payload_model):
@@ -758,9 +853,9 @@ def _mutate(data, holder, key) -> None:
         del holder[key]
 
 
-def _loads_and_scores_or_raises(payload, x) -> None:
+def _loads_and_scores_or_raises(blob: bytes, x) -> None:
     try:
-        model = deserialize_model(json.dumps(payload).encode())
+        model = deserialize_model(blob)
     except DomainTriageError:
         return
     labels, scores = ensemble_scores(model, x)
@@ -773,7 +868,7 @@ def _loads_and_scores_or_raises(payload, x) -> None:
 @given(data=st.data())
 def test_mutated_tree_payload_loads_and_scores_or_raises(tree_payload_model, data):
     payload, x = tree_payload_model
-    payload = json.loads(json.dumps(payload))
+    payload = _plain(payload)
     member = data.draw(st.sampled_from(payload["members"]))
     if member["kind"] == "rf":
         holder, slot = member["trees"], data.draw(st.integers(0, len(member["trees"]) - 1))
@@ -782,9 +877,9 @@ def test_mutated_tree_payload_loads_and_scores_or_raises(tree_payload_model, dat
     if data.draw(st.integers(0, 5)) == 0:
         holder[slot] = data.draw(_JSON_VALUES)
     else:
-        key = data.draw(st.sampled_from(["feature", "threshold", "right", "prob"]))
+        key = data.draw(st.sampled_from(["feature", "right", "value"]))
         _mutate(data, holder[slot], key)
-    _loads_and_scores_or_raises(payload, x)
+    _loads_and_scores_or_raises(_repacked(payload), x)
 
 
 @pytest.fixture(scope="module")
@@ -832,18 +927,20 @@ _CORRUPT_FIELDS = {
 
 @pytest.mark.parametrize("edit", _CORRUPT_FIELDS.values(), ids=_CORRUPT_FIELDS.keys())
 def test_deserialize_rejects_corrupt_fields(full_payload_model, edit):
-    payload = json.loads(json.dumps(full_payload_model[0]))
-    deserialize_model(json.dumps(payload).encode())  # the unedited payload loads
+    payload = _plain(full_payload_model[0])
+    # the unedited view packs to the same payload, which loads
+    assert json.loads(_repacked(payload)) == full_payload_model[0]
+    deserialize_model(_repacked(payload))
     edit(payload)
     with pytest.raises(CorruptPayload):
-        deserialize_model(json.dumps(payload).encode())
+        deserialize_model(_repacked(payload))
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_mutated_payload_fields_load_and_score_or_raise(full_payload_model, data):
     payload, x = full_payload_model
-    payload = json.loads(json.dumps(payload))
+    payload = _plain(payload)
     owner, key = data.draw(st.sampled_from([
         ("knn", "x"), ("knn", "y"), ("knn", "k"), ("lr", "weights"), ("lr", "bias"),
         ("standardizer", "medians"), ("standardizer", "means"), ("standardizer", "stds"),
@@ -858,4 +955,112 @@ def test_mutated_payload_fields_load_and_score_or_raise(full_payload_model, data
     if key == "x" and data.draw(st.booleans()):
         holder, key = holder["x"], data.draw(st.integers(0, len(holder["x"]) - 1))
     _mutate(data, holder, key)
-    _loads_and_scores_or_raises(payload, x)
+    _loads_and_scores_or_raises(_repacked(payload), x)
+
+
+# --- the array encoding itself ----------------------------------------------
+
+def _array_slots(payload) -> list:
+    """(holder, key) of one packed array of each dtype and shape: a
+    forest tree's value, the dt feature column, knn x and knn y."""
+    knn = _member_of(payload, "knn")
+    return [(_member_of(payload, "rf")["trees"][1], "value"),
+            (_member_of(payload, "dt")["tree"], "feature"), (knn, "x"), (knn, "y")]
+
+
+def _swapped_to_big_endian(obj) -> None:
+    values = np.frombuffer(base64.b64decode(obj["b64"]), dtype=obj["dtype"])
+    obj["dtype"] = ">" + obj["dtype"][1:]
+    obj["b64"] = _b64(values.astype(obj["dtype"]).tobytes())
+
+
+def _cut_one_byte(obj) -> None:
+    obj["b64"] = _b64(base64.b64decode(obj["b64"])[:-1])
+
+
+# a dtype of the same item size as the stored one, so only the name differs
+_SAME_SIZE_DTYPE = {"<f8": "<i8", "<i4": "<f4", "|u1": "|i1"}
+
+_DTYPE, _SHAPE, _STR, _B64, _FIT = ("of dtype", "shape must be", "b64 must be a string",
+                                    "is not base64", "do not fit shape")
+
+# each edit and the start of the loader's message for it
+_CORRUPT_ENCODINGS = {
+    "dtype of another type": (lambda o: o.update(dtype=_SAME_SIZE_DTYPE[o["dtype"]]), _DTYPE),
+    "dtype big-endian": (_swapped_to_big_endian, _DTYPE),
+    "dtype object": (lambda o: o.update(dtype="O"), _DTYPE),
+    "dtype a numpy alias": (lambda o: o.update(dtype=np.dtype(o["dtype"]).name), _DTYPE),
+    "dtype not a string": (lambda o: o.update(dtype=8), _DTYPE),
+    "dtype missing": (lambda o: o.pop("dtype"), _DTYPE),
+    "shape negative": (lambda o: o.update(shape=[-d for d in o["shape"]]), _SHAPE),
+    "shape of floats": (lambda o: o.update(shape=[float(d) for d in o["shape"]]), _SHAPE),
+    "shape of bools": (lambda o: o.update(shape=[True] * len(o["shape"])), _SHAPE),
+    "shape a number": (lambda o: o.update(shape=o["shape"][0]), _SHAPE),
+    "shape an extra axis": (lambda o: o.update(shape=o["shape"] + [1]), _SHAPE),
+    "shape missing": (lambda o: o.pop("shape"), _SHAPE),
+    "shape too long for the bytes": (lambda o: o["shape"].__setitem__(0, o["shape"][0] + 1), _FIT),
+    "shape too short for the bytes": (lambda o: o["shape"].__setitem__(0, o["shape"][0] - 1), _FIT),
+    "bytes one short": (_cut_one_byte, _FIT),
+    "b64 not base64": (lambda o: o.update(b64="!!!!"), _B64),
+    "b64 truncated text": (lambda o: o.update(b64=o["b64"][:-1]), _B64),
+    "b64 with a newline": (lambda o: o.update(b64=o["b64"][:4] + "\n" + o["b64"][4:]), _B64),
+    "b64 not ascii": (lambda o: o.update(b64="é" + o["b64"][1:]), _B64),
+    "b64 a number": (lambda o: o.update(b64=5), _STR),
+    "b64 null": (lambda o: o.update(b64=None), _STR),
+    "b64 a list": (lambda o: o.update(b64=[o["b64"]]), _STR),
+    "b64 missing": (lambda o: o.pop("b64"), _STR),
+}
+
+
+@pytest.mark.parametrize("edit, message", _CORRUPT_ENCODINGS.values(), ids=_CORRUPT_ENCODINGS.keys())
+def test_deserialize_rejects_corrupt_array_encoding(full_payload_model, edit, message):
+    for slot in range(4):
+        payload = json.loads(json.dumps(full_payload_model[0]))
+        holder, key = _array_slots(payload)[slot]
+        edit(holder[key])
+        with pytest.raises(CorruptPayload, match=message):
+            deserialize_model(json.dumps(payload).encode())
+
+
+@pytest.mark.parametrize("replacement", [[0.5, 1.0], None, "AAAA", 3],
+                         ids=["a v2 number list", "null", "a string", "a number"])
+def test_deserialize_rejects_array_that_is_not_an_object(full_payload_model, replacement):
+    for slot in range(4):
+        payload = json.loads(json.dumps(full_payload_model[0]))
+        holder, key = _array_slots(payload)[slot]
+        holder[key] = replacement
+        with pytest.raises(CorruptPayload):
+            deserialize_model(json.dumps(payload).encode())
+
+
+_DTYPE_TEXT = st.sampled_from(["<f8", "<i4", "|u1", ">f8", ">i4", "<f4", "<i8", "|i1",
+                               "O", "f8", "float64", "int32", "<U2", "V8", "|b1"])
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_array_encoding_loads_and_scores_or_raises(full_payload_model, data):
+    payload, x = full_payload_model
+    payload = json.loads(json.dumps(payload))
+    holder, key = data.draw(st.sampled_from(_array_slots(payload)))
+    obj = holder[key]
+    field = data.draw(st.sampled_from(["dtype", "shape", "b64"]))
+    if data.draw(st.integers(0, 9)) == 0:
+        del obj[field]
+    elif field == "dtype":
+        obj["dtype"] = data.draw(st.one_of(_DTYPE_TEXT, _JSON_VALUES))
+    elif field == "shape":
+        obj["shape"] = data.draw(st.one_of(st.lists(st.integers(-3, 40), max_size=3),
+                                           _JSON_VALUES))
+    elif data.draw(st.booleans()):
+        # overwritten bytes keep the envelope well formed and test what
+        # the loader checks of the values
+        raw = bytearray(base64.b64decode(obj["b64"]))
+        for at, byte in data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1),
+                                                     st.integers(0, 255)), min_size=1, max_size=8)):
+            raw[at] = byte
+        obj["b64"] = _b64(bytes(raw))
+    else:
+        obj["b64"] = data.draw(st.one_of(st.binary(max_size=64).map(_b64), st.text(max_size=8),
+                                         _JSON_VALUES))
+    _loads_and_scores_or_raises(json.dumps(payload).encode(), x)

@@ -506,6 +506,71 @@ def test_cache_rejects_bad_lines(tmp_path):
             WhoisCache(str(path))
 
 
+def test_cache_rejects_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    good = b'{"domain": "a.com", "fetched_on": "2020-05-01", "raw": "ok"}\n'
+    for bad in (b"\xff\xfe\n", b'{"domain": "x.com", "fetched_on": "2020-05-01", "raw": "\xe9"}\n'):
+        path.write_bytes(good + bad + good)
+        with pytest.raises(DomainTriageError, match=r":2: bad cache line"):
+            WhoisCache(str(path))
+        # also as the last line, since it ends in a newline
+        path.write_bytes(good + bad)
+        with pytest.raises(DomainTriageError, match=r":2: bad cache line"):
+            WhoisCache(str(path))
+
+
+_GOOD_LINE = '{"domain": "a.com", "fetched_on": "2020-05-01", "raw": "ok"}\n'
+_TORN_LINE = '{"domain": "b.com", "fetched_on": "2020-05-0'
+
+
+@pytest.mark.parametrize("torn", [_TORN_LINE.encode(), b'{"domain": "b.com", "raw": "\xc3'],
+                         ids=["cut json", "cut utf-8"])
+def test_cache_drops_torn_last_line_once(tmp_path, capsys, torn):
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(_GOOD_LINE.encode() * 2 + torn)
+    cache = WhoisCache(str(path))
+    assert len(cache) == 1 and cache.get("a.com") == ("ok", dt.date(2020, 5, 1))
+    err = capsys.readouterr().err
+    assert err.count("warning:") == 1
+    assert f"{path}:3: dropped a torn last line" in err
+
+
+def test_cache_bad_line_with_newline_still_raises(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    # the same fragment ended by a newline, or followed by another line
+    for text in (_GOOD_LINE + _TORN_LINE + "\n", _TORN_LINE + "\n" + _GOOD_LINE,
+                 _TORN_LINE + "\n" + _GOOD_LINE.rstrip("\n")):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DomainTriageError, match=r"bad cache line"):
+            WhoisCache(str(path))
+
+
+def test_cache_put_after_torn_line_cuts_it(tmp_path, capsys):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(_GOOD_LINE + _TORN_LINE, encoding="utf-8")
+    cache = WhoisCache(str(path))
+    cache.put("c.com", "new", dt.date(2020, 5, 2))
+    assert path.read_text(encoding="utf-8") == _GOOD_LINE + (
+        '{"domain": "c.com", "fetched_on": "2020-05-02", "raw": "new"}\n')
+    capsys.readouterr()
+    again = WhoisCache(str(path))
+    assert capsys.readouterr().err == ""
+    assert len(again) == 2 and again.get("c.com") == ("new", dt.date(2020, 5, 2))
+
+
+def test_cache_put_after_unterminated_entry_keeps_it(tmp_path, capsys):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(_GOOD_LINE.rstrip("\n"), encoding="utf-8")
+    cache = WhoisCache(str(path))
+    assert cache.get("a.com") == ("ok", dt.date(2020, 5, 1))
+    cache.put("c.com", "new", dt.date(2020, 5, 2))
+    again = WhoisCache(str(path))
+    assert capsys.readouterr().err == ""
+    assert again.get("a.com") == ("ok", dt.date(2020, 5, 1))
+    assert again.get("c.com") == ("new", dt.date(2020, 5, 2))
+    assert path.read_text(encoding="utf-8").count("\n") == 2
+
+
 def test_cache_rejects_future_date(tmp_path):
     cache = WhoisCache(str(tmp_path / "c.jsonl"))
     with pytest.raises(ValueError):
