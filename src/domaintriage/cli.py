@@ -186,7 +186,7 @@ def _cmd_train(args) -> int:
     )
     x17, y = train_ds.feature_matrix()
     model = learn.train_ensemble(
-        x17, y, indices, models=models, seed=args.seed, n_jobs=args.jobs,
+        x17, y, indices, models=models, seed=args.seed,
         n_trees=args.trees, max_depth=args.max_depth, min_leaf=args.min_leaf,
         knn_k=args.knn_k, l2=args.l2, lr_rate=args.lr_rate,
         lr_epochs=args.lr_epochs,
@@ -321,7 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", type=float, default=0.8, help="training fraction")
     p.add_argument("--no-stratify", action="store_true",
                    help="plain random split instead of per-class")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for forest training")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored: the forest's trees grow in lockstep in one "
+                        "thread, and the model never depends on this flag")
     p.add_argument("--trees", type=int, default=learn.DEFAULT_PARAMS["n_trees"])
     p.add_argument("--max-depth", type=int, default=learn.DEFAULT_PARAMS["max_depth"])
     p.add_argument("--min-leaf", type=int, default=learn.DEFAULT_PARAMS["min_leaf"])
@@ -370,7 +372,8 @@ def main(argv=None) -> int:
         filename = exc.filename if exc.filename else exc
         print(f"error: file not found: {filename}", file=sys.stderr)
         return 2
-    except (ingest.SchemaMismatch, ingest.InvalidRange, SystemExit2, ValueError) as exc:
+    except (ingest.SchemaMismatch, ingest.InvalidRange, learn.InvalidHyperparameter,
+            SystemExit2, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainTriageError as exc:

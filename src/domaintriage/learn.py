@@ -4,13 +4,13 @@ Everything here is written against plain numpy arrays: X is (n, p)
 float64, y is (n,) int with labels in {0, 1}.  Matrices fed to the
 trainers must already be standardized (see :class:`Standardizer`,
 which also owns median imputation of absent values).  Training is
-fully deterministic given the seed; forests derive one child seed per
-tree (seed + tree index), which is what makes parallel and serial
-training produce identical models.
+fully deterministic given the seed and runs in one thread: a forest's
+trees grow in lockstep (see :func:`train_random_forest`), each from its
+own child seed (seed + tree index).
 
 ``MEMBERS`` maps each member kind ("rf", "dt", "knn", "lr") to its
 class and is the one place that knows the kinds.  Each class has a
-class attribute ``kind``, a ``fit(x, y, params, seed, n_jobs)``
+class attribute ``kind``, a ``fit(x, y, params, seed)``
 classmethod, ``scores(x)`` on a standardized matrix, and
 ``to_payload()`` with a ``from_payload(obj, width)`` classmethod for
 the member's fields in the model file, which validates what it loads.
@@ -27,7 +27,6 @@ from __future__ import annotations
 import base64
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +68,10 @@ class VersionMismatch(DomainTriageError):
 
 class CorruptPayload(DomainTriageError):
     """Serialized model bytes that cannot be decoded."""
+
+
+class InvalidHyperparameter(DomainTriageError):
+    """A training hyperparameter below its least usable value."""
 
 
 # --- standardization ------------------------------------------------------
@@ -130,6 +133,11 @@ class Tree:
     probability of label 1 in ``prob``; the fields a node does not use
     hold 0.  Children always come after their parent, so every walk ends
     within len(feature) steps.
+
+    Trees come from the one grower behind :func:`train_random_forest`
+    (the ``dt`` member is its one-tree case), which writes each tree's
+    nodes in this preorder while it grows all of a forest's trees in
+    lockstep.
     """
 
     feature: np.ndarray
@@ -168,99 +176,20 @@ class Tree:
                    right=right, prob=np.where(split, 0.0, value))
 
 
-def _best_split(x, y, idx, feat_ids, min_leaf):
-    """Exhaustive best (feature, threshold) by weighted Gini.
-
-    Candidate thresholds are midpoints between consecutive distinct
-    sorted values; both sides must keep at least min_leaf rows.  Lower
-    cost wins; ties go to the earlier feature, then lower threshold.
-    Returns (cost, feature, threshold) or None.
-    """
-    n = len(idx)
-    best = None
-    for f in feat_ids:
-        col = x[idx, f]
-        order = np.argsort(col, kind="stable")
-        sv = col[order]
-        sy = y[idx][order]
-        pos_cum = np.cumsum(sy)
-        total_pos = int(pos_cum[-1])
-        # boundary after sorted position i: left block is 0..i
-        i = np.arange(min_leaf - 1, n - min_leaf)
-        if len(i) == 0:
-            continue
-        distinct = sv[i] != sv[i + 1]
-        i = i[distinct]
-        if len(i) == 0:
-            continue
-        thresholds = (sv[i] + sv[i + 1]) / 2.0
-        # adjacent representable floats: midpoint cannot separate them
-        usable = (sv[i] < thresholds) & (thresholds < sv[i + 1])
-        i, thresholds = i[usable], thresholds[usable]
-        if len(i) == 0:
-            continue
-        ln = i + 1
-        rn = n - ln
-        lp = pos_cum[i]
-        rp = total_pos - lp
-        gini_l = 1.0 - (lp * lp + (ln - lp) * (ln - lp)) / (ln * ln)
-        gini_r = 1.0 - (rp * rp + (rn - rp) * (rn - rp)) / (rn * rn)
-        cost = (ln * gini_l + rn * gini_r) / n
-        k = int(np.argmin(cost))
-        if best is None or cost[k] < best[0]:
-            best = (float(cost[k]), int(f), float(thresholds[k]))
-    return best
+# (row, drawn feature) keys, and count bins, in one chunk of the split
+# search; together they bound the search's temporaries whatever the
+# forest size
+_SPLIT_KEYS = 1 << 14
+_SPLIT_BINS = 4 * _SPLIT_KEYS
 
 
-def train_decision_tree(
-    x,
-    y,
-    max_depth: int = 12,
-    min_leaf: int = 5,
-    max_features: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> Tree:
-    """Greedy CART-style tree on Gini impurity.
-
-    ``max_features``/``rng`` are for forest use: when set, every split
-    considers a fresh random feature subset.  Without them the tree is
-    fully deterministic.
-    """
+def train_decision_tree(x, y, max_depth: int = 12, min_leaf: int = 5) -> Tree:
+    """Greedy CART-style tree on Gini impurity over every feature: the
+    one-tree forest of :func:`train_random_forest` without bootstrap or
+    feature draws, so it is fully deterministic."""
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=int)
-    if x.ndim != 2 or len(x) == 0:
-        raise EmptyData("no rows to train on")
-    if len(x) != len(y):
-        raise EmptyData(f"{len(x)} rows but {len(y)} labels")
-    p = x.shape[1]
-    subset = max_features is not None and max_features < p
-    nodes: list[list] = []  # [feature, threshold, right, prob] in preorder
-
-    def grow(idx: np.ndarray, depth: int) -> None:
-        pos = int(y[idx].sum())
-        n = len(idx)
-        node = [-1, 0.0, 0, pos / n]
-        nodes.append(node)
-        if pos == 0 or pos == n or depth >= max_depth or n < 2 * min_leaf:
-            return
-        if subset:
-            feat_ids = np.sort(rng.choice(p, size=max_features, replace=False))
-        else:
-            feat_ids = range(p)
-        found = _best_split(x, y, idx, feat_ids, min_leaf)
-        if found is None:
-            return
-        _, f, t = found
-        node[:] = [f, t, 0, 0.0]
-        mask = x[idx, f] <= t
-        grow(idx[mask], depth + 1)
-        node[2] = len(nodes)
-        grow(idx[~mask], depth + 1)
-
-    grow(np.arange(len(x)), 0)
-    feature, threshold, right, prob = np.array(nodes, dtype=float).T.copy()
-    return Tree(feature=feature.astype(np.intp), threshold=threshold,
-                right=right.astype(np.intp), prob=prob)
+    return train_random_forest(x, y, n_trees=1, max_features=x.shape[-1], bootstrap=False,
+                               max_depth=max_depth, min_leaf=min_leaf)[0]
 
 
 def train_random_forest(
@@ -274,35 +203,223 @@ def train_random_forest(
     min_leaf: int = 5,
     n_jobs: int = 1,
 ) -> list[Tree]:
-    """Bagged trees with per-split random feature subsets.
+    """Bagged greedy trees on Gini impurity, with per-split random
+    feature subsets.
 
     ``max_features`` defaults to ceil(sqrt(p)).  Tree i draws all its
-    randomness from seed + i, so the result does not depend on whether
-    trees were built serially or in parallel.
+    randomness from ``default_rng(seed + i)``: first its bootstrap
+    sample, then, at each node it tries to split, in preorder, a sorted
+    subset of ``max_features`` features (every feature, with no draw,
+    when ``max_features >= p``).  A node stays a leaf when it is pure,
+    at ``max_depth``, or has fewer than ``2 * min_leaf`` rows.
+    Otherwise its split is the (feature, threshold) of least weighted
+    Gini impurity, where a threshold is the midpoint between two
+    consecutive distinct values of the node's rows that keeps at least
+    ``min_leaf`` rows on each side; ties go to the earlier feature, then
+    the lower threshold.
+
+    All trees grow in lockstep, in one thread: at each step every tree
+    takes its next preorder node that needs a split search, and one
+    vectorised search (:func:`_split_chunk`) serves all of them.  So
+    each tree is exactly the one a recursive tree-at-a-time grower
+    builds, and the result does not depend on ``n_jobs``, which is kept
+    for callers and ignored.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=int)
     if x.ndim != 2 or len(x) == 0:
         raise EmptyData("no rows to train on")
+    if len(x) != len(y):
+        raise EmptyData(f"{len(x)} rows but {len(y)} labels")
+    if not ((y == 0) | (y == 1)).all():
+        raise ValueError("labels must be 0 or 1")
     n, p = x.shape
     mf = max_features if max_features is not None else math.ceil(math.sqrt(p))
+    rngs = [np.random.default_rng(seed + i) for i in range(n_trees)]
+    rows = np.empty((n_trees, n), dtype=np.int32)
+    for row, rng in zip(rows, rngs):
+        row[:] = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+    return _grow_forest(x, y, rows, rngs if mf < p else None, mf,
+                        max_depth=max_depth, min_leaf=min_leaf)
 
-    def build(i: int) -> Tree:
-        rng = np.random.default_rng(seed + i)
-        if bootstrap:
-            sample = rng.integers(0, n, size=n)
-            xs, ys = x[sample], y[sample]
-        else:
-            xs, ys = x, y
-        return train_decision_tree(
-            xs, ys, max_depth=max_depth, min_leaf=min_leaf,
-            max_features=mf if mf < p else None, rng=rng,
-        )
 
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            return list(pool.map(build, range(n_trees)))
-    return [build(i) for i in range(n_trees)]
+def _grow_forest(x, y, rows, rngs, mf, max_depth, min_leaf) -> list[Tree]:
+    """Grow one tree per row of ``rows`` (the training row ids of each
+    tree), in lockstep.  ``rngs`` holds each tree's generator for its
+    feature draws, or is None to try every feature at every node.
+
+    Each tree keeps its own preorder with an explicit stack.  A node is
+    a contiguous segment of ``rows`` (flattened), which a split
+    partitions into left | right.  The right child is pushed first, and
+    a node's ``right`` is set when its right child is popped.
+    """
+    n_trees, n = rows.shape
+    p = x.shape[1]
+    ranks = _Ranks.of(x, y)
+    flat = rows.ravel()
+    all_features = np.arange(p)
+    tables = [[] for _ in range(n_trees)]  # per tree, [feature, threshold, right, prob] in preorder
+    # (start, stop, depth, positives, parent whose right child this is, or -1)
+    stacks = [[(t * n, (t + 1) * n, 0, int(y[r].sum()), -1)] for t, r in enumerate(rows)]
+    while True:
+        batch = []  # each tree's next node to search: (tree, start, stop, depth, positives, features)
+        for t, (stack, table) in enumerate(zip(stacks, tables)):
+            while stack:
+                start, stop, depth, pos, parent = stack.pop()
+                size = stop - start
+                if parent >= 0:
+                    table[parent][2] = len(table)
+                table.append([-1, 0.0, 0, pos / size])
+                if pos == 0 or pos == size or depth >= max_depth or size < 2 * min_leaf:
+                    continue
+                if rngs is None:
+                    feats = all_features
+                else:
+                    feats = rngs[t].choice(p, mf, replace=False)
+                    feats.sort()
+                batch.append((t, start, stop, depth, pos, feats))
+                break
+        if not batch:
+            break
+        for chunk in _chunks(batch, ranks.widths):
+            for (t, start, stop, depth, pos, _), split in zip(chunk, _split_chunk(chunk, flat, ranks, min_leaf)):
+                if split is None:
+                    continue
+                f, threshold, ln, lp = split
+                table = tables[t]
+                at = len(table) - 1  # the node just searched is its tree's last
+                table[at][:] = [f, threshold, 0, 0.0]
+                stacks[t] += [(start + ln, stop, depth + 1, pos - lp, at),
+                              (start, start + ln, depth + 1, lp, -1)]
+    trees = []
+    for table in tables:
+        feature, threshold, right, prob = np.array(table, dtype=float).T.copy()
+        trees.append(Tree(feature=feature.astype(np.intp), threshold=threshold,
+                          right=right.astype(np.intp), prob=prob))
+    return trees
+
+
+@dataclass
+class _Ranks:
+    """Each feature's sorted distinct values (NaNs count as one, last),
+    and each row's code ``2 * rank + label``, where rank is the index of
+    its value among them."""
+
+    codes: np.ndarray    # the code of row r in feature f, at f * n + r
+    values: np.ndarray   # the distinct values, feature after feature
+    offsets: np.ndarray  # where each feature's values start in ``values``
+    widths: np.ndarray   # how many distinct values each feature has
+    n: int
+
+    @classmethod
+    def of(cls, x: np.ndarray, y: np.ndarray) -> "_Ranks":
+        n, p = x.shape
+        codes = np.empty((p, n), dtype=np.int64)
+        values = []
+        for f in range(p):
+            distinct, rank = np.unique(x[:, f], return_inverse=True)
+            codes[f] = 2 * rank + y
+            values.append(distinct)
+        widths = np.array([len(v) for v in values])
+        return cls(codes.ravel(), np.concatenate(values), np.cumsum(widths) - widths, widths, n)
+
+
+def _chunks(batch, widths):
+    """``batch`` cut into runs of nodes whose (row, drawn feature) keys
+    and count bins stay within _SPLIT_KEYS and _SPLIT_BINS; a node too
+    big for either is a run of its own."""
+    feats = np.array([node[5] for node in batch])
+    node_keys = [(stop - start) * feats.shape[1] for _, start, stop, _, _, _ in batch]
+    chunk, keys, bins = [], 0, 0
+    for node, k, b in zip(batch, node_keys, widths[feats].sum(axis=1).tolist()):
+        if chunk and (keys + k > _SPLIT_KEYS or bins + b > _SPLIT_BINS):
+            yield chunk
+            chunk, keys, bins = [], 0, 0
+        chunk.append(node)
+        keys += k
+        bins += b
+    yield chunk
+
+
+def _split_chunk(chunk, flat, ranks: _Ranks, min_leaf) -> list:
+    """The best split of each node of ``chunk``, as (feature, threshold,
+    left rows, left positives), or None where no threshold keeps
+    ``min_leaf`` rows on both sides.  Each split node's segment of
+    ``flat`` is partitioned into left | right, stably.
+
+    A split's cost depends only on the label counts on each side of a
+    boundary between consecutive distinct values, so row order inside a
+    node never matters.  One bincount over the keys ``2 * bin + label``,
+    with a run of bins per (node, drawn feature) pair and one bin per
+    distinct value, gives every pair's counts per value at once; a
+    segmented cumsum over the values present gives the left-side counts
+    at every boundary.
+    """
+    n = ranks.n
+    sizes = np.array([stop - start for _, start, stop, _, _, _ in chunk])
+    pos = np.array([node[4] for node in chunk])
+    feats = np.array([node[5] for node in chunk])
+    m, k = feats.shape
+    if k == 0:
+        return [None] * m
+    # the flat positions of the chunk's rows, node after node
+    before = np.cumsum(sizes) - sizes
+    at = np.repeat(np.array([node[1] for node in chunk]) - before, sizes) + np.arange(sizes.sum())
+    r = flat[at]
+    # pair j (node j // k, its (j % k)-th feature) counts value v in bin base[j] + rank(v)
+    width = ranks.widths[feats].ravel()
+    base = np.cumsum(width) - width
+    key = ranks.codes[np.repeat(feats * n, sizes, axis=0) + r[:, None]]
+    key += np.repeat(2 * base.reshape(m, k), sizes, axis=0)
+    counts = np.bincount(key.ravel(), minlength=2 * width.sum()).reshape(-1, 2)
+    present = np.flatnonzero(counts[:, 0] | counts[:, 1])
+    pair = np.searchsorted(base, present, side="right") - 1
+    cum_n = np.cumsum(counts[present, 0] + counts[present, 1])
+    cum_p = np.cumsum(counts[present, 1])
+    # a boundary follows present value c when the next one is of the same pair
+    c = np.flatnonzero(pair[1:] == pair[:-1])
+    pc = pair[c]
+    # rows and positives of the pairs before pc: each pair covers its node once
+    pair_n, pair_p = np.repeat(sizes, k), np.repeat(pos, k)
+    ln = cum_n[c] - (np.cumsum(pair_n) - pair_n)[pc]
+    nn = pair_n[pc]
+    keep = (ln >= min_leaf) & (nn - ln >= min_leaf)
+    c, pc, ln, nn = c[keep], pc[keep], ln[keep], nn[keep]
+    shift = (ranks.offsets[feats].ravel() - base)[pc]
+    lo = ranks.values[present[c] + shift]
+    hi = ranks.values[present[c + 1] + shift]
+    with np.errstate(over="ignore", invalid="ignore"):
+        threshold = (lo + hi) / 2.0
+        # adjacent representable floats: the midpoint cannot separate them
+        keep = (lo < threshold) & (threshold < hi)
+    c, pc, ln, nn, threshold = c[keep], pc[keep], ln[keep], nn[keep], threshold[keep]
+    lp = cum_p[c] - (np.cumsum(pair_p) - pair_p)[pc]
+    rn, rp = nn - ln, pair_p[pc] - lp
+    gini_l = 1.0 - (lp * lp + (ln - lp) * (ln - lp)) / (ln * ln)
+    gini_r = 1.0 - (rp * rp + (rn - rp) * (rn - rp)) / (rn * rn)
+    cost = (ln * gini_l + rn * gini_r) / nn
+    # candidates come in (node, feature, threshold) order, and the sort
+    # is stable: the first of each node is its least cost, earliest
+    # feature, lowest threshold
+    node_c = pc // k
+    order = np.lexsort((cost, node_c))
+    best = order[np.flatnonzero(np.diff(node_c[order], prepend=-1))]
+    split, pb = node_c[best], pc[best]
+    feature = feats.ravel()[pb]
+    # partition by code: a value is <= the threshold exactly when its
+    # rank is at most the boundary's, that is its code at most 2 * bin + 1;
+    # a node without a split keeps its rows where they are
+    node_feature = np.zeros(m, dtype=np.int64)
+    node_feature[split] = feature
+    node_bound = np.full(m, 2 * n, dtype=np.int64)
+    node_bound[split] = 2 * (present[c[best]] - base[pb]) + 1
+    right = ranks.codes[np.repeat(node_feature * n, sizes) + r] > np.repeat(node_bound, sizes)
+    flat[at] = r[np.lexsort((right, np.repeat(np.arange(m), sizes)))]
+    out = [None] * m
+    for s, f, t, left, left_pos in zip(split.tolist(), feature.tolist(), threshold[best].tolist(),
+                                       ln[best].tolist(), lp[best].tolist()):
+        out[s] = (f, t, left, left_pos)
+    return out
 
 
 # (row, tree) pairs walked at once, which bounds the walk's index
@@ -351,10 +468,10 @@ class RandomForest:
     trees: list[Tree]
 
     @classmethod
-    def fit(cls, x, y, params: dict, seed: int, n_jobs: int) -> "RandomForest":
+    def fit(cls, x, y, params: dict, seed: int) -> "RandomForest":
         return cls(train_random_forest(
             x, y, n_trees=params["n_trees"], seed=seed, max_depth=params["max_depth"],
-            min_leaf=params["min_leaf"], n_jobs=n_jobs,
+            min_leaf=params["min_leaf"],
         ))
 
     def scores(self, x) -> np.ndarray:
@@ -379,7 +496,7 @@ class DecisionTree:
     tree: Tree
 
     @classmethod
-    def fit(cls, x, y, params: dict, seed: int, n_jobs: int) -> "DecisionTree":
+    def fit(cls, x, y, params: dict, seed: int) -> "DecisionTree":
         return cls(train_decision_tree(x, y, max_depth=params["max_depth"],
                                        min_leaf=params["min_leaf"]))
 
@@ -436,7 +553,7 @@ class LogisticModel:
     losses: list[float] = field(default_factory=list, repr=False)
 
     @classmethod
-    def fit(cls, x, y, params: dict, seed: int, n_jobs: int) -> "LogisticModel":
+    def fit(cls, x, y, params: dict, seed: int) -> "LogisticModel":
         return train_logistic_regression(x, y, l2=params["l2"], lr=params["lr_rate"],
                                          epochs=params["lr_epochs"])
 
@@ -583,7 +700,7 @@ class NearestNeighbors:
     k: int
 
     @classmethod
-    def fit(cls, x, y, params: dict, seed: int, n_jobs: int) -> "NearestNeighbors":
+    def fit(cls, x, y, params: dict, seed: int) -> "NearestNeighbors":
         if not (1 <= params["knn_k"] <= len(x)):
             raise ValueError(f"knn_k must be in 1..{len(x)}")
         return cls(x.copy(), y.copy(), params["knn_k"])
@@ -643,6 +760,9 @@ DEFAULT_PARAMS = {
     "lr_epochs": 500,
 }
 
+# the least usable value of each integer hyperparameter
+_PARAM_MINIMUMS = {"n_trees": 1, "max_depth": 0, "min_leaf": 1, "knn_k": 1, "lr_epochs": 0}
+
 
 @dataclass
 class EnsembleModel:
@@ -672,7 +792,6 @@ def train_ensemble(
     selected_features: list[int],
     models: tuple[str, ...] = DEFAULT_MODELS,
     seed: int = 0,
-    n_jobs: int = 1,
     **overrides,
 ) -> EnsembleModel:
     """Standardize the selected columns and train each requested member.
@@ -686,6 +805,9 @@ def train_ensemble(
     if unknown:
         raise ValueError(f"unknown hyperparameters: {sorted(unknown)}")
     params.update(overrides)
+    for name, least in _PARAM_MINIMUMS.items():
+        if params[name] < least:
+            raise InvalidHyperparameter(f"{name} must be at least {least}, got {params[name]}")
     if not models:
         raise ValueError("need at least one member model")
     for kind in models:
@@ -706,7 +828,7 @@ def train_ensemble(
     xs = standardizer.transform(x17[:, sel])
 
     return EnsembleModel(
-        members=[MEMBERS[kind].fit(xs, y, params, seed, n_jobs) for kind in models],
+        members=[MEMBERS[kind].fit(xs, y, params, seed) for kind in models],
         selected_features=sel,
         standardizer=standardizer,
         seed=seed,

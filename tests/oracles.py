@@ -7,6 +7,8 @@ behind the same bug in its test.
 
 import math
 
+import numpy as np
+
 
 def days_from_civil(year: int, month: int, day: int) -> int:
     """Days since 1970-01-01 for a proleptic Gregorian date.
@@ -99,6 +101,107 @@ def oracle_segment(chunk: str, model):
         if best is None or candidate < best:
             best = candidate
     return list(best[2])
+
+
+def _best_split_recursive(x, y, idx, feat_ids, min_leaf):
+    """Exhaustive best (feature, threshold) by weighted Gini.
+
+    Candidate thresholds are midpoints between consecutive distinct
+    sorted values; both sides must keep at least min_leaf rows.  Lower
+    cost wins; ties go to the earlier feature, then lower threshold.
+    Returns (cost, feature, threshold) or None.
+    """
+    n = len(idx)
+    best = None
+    for f in feat_ids:
+        col = x[idx, f]
+        order = np.argsort(col, kind="stable")
+        sv = col[order]
+        sy = y[idx][order]
+        pos_cum = np.cumsum(sy)
+        total_pos = int(pos_cum[-1])
+        # boundary after sorted position i: left block is 0..i
+        i = np.arange(min_leaf - 1, n - min_leaf)
+        if len(i) == 0:
+            continue
+        distinct = sv[i] != sv[i + 1]
+        i = i[distinct]
+        if len(i) == 0:
+            continue
+        thresholds = (sv[i] + sv[i + 1]) / 2.0
+        # adjacent representable floats: midpoint cannot separate them
+        usable = (sv[i] < thresholds) & (thresholds < sv[i + 1])
+        i, thresholds = i[usable], thresholds[usable]
+        if len(i) == 0:
+            continue
+        ln = i + 1
+        rn = n - ln
+        lp = pos_cum[i]
+        rp = total_pos - lp
+        gini_l = 1.0 - (lp * lp + (ln - lp) * (ln - lp)) / (ln * ln)
+        gini_r = 1.0 - (rp * rp + (rn - rp) * (rn - rp)) / (rn * rn)
+        cost = (ln * gini_l + rn * gini_r) / n
+        k = int(np.argmin(cost))
+        if best is None or cost[k] < best[0]:
+            best = (float(cost[k]), int(f), float(thresholds[k]))
+    return best
+
+
+def tree_recursive(x, y, max_depth, min_leaf, max_features=None, rng=None) -> dict:
+    """Greedy CART-style tree on Gini impurity, grown depth first by
+    recursion, one node and one feature at a time: the columns
+    ``feature``, ``threshold``, ``right`` and ``prob`` of a
+    ``learn.Tree`` as numpy arrays.  With ``max_features`` < p, each
+    node that is not a leaf by the stop test draws a sorted subset of
+    that many features from ``rng``, in preorder."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=int)
+    p = x.shape[1]
+    subset = max_features is not None and max_features < p
+    nodes = []  # [feature, threshold, right, prob] in preorder
+
+    def grow(idx, depth):
+        pos = int(y[idx].sum())
+        n = len(idx)
+        node = [-1, 0.0, 0, pos / n]
+        nodes.append(node)
+        if pos == 0 or pos == n or depth >= max_depth or n < 2 * min_leaf:
+            return
+        if subset:
+            feat_ids = np.sort(rng.choice(p, size=max_features, replace=False))
+        else:
+            feat_ids = range(p)
+        found = _best_split_recursive(x, y, idx, feat_ids, min_leaf)
+        if found is None:
+            return
+        _, f, t = found
+        node[:] = [f, t, 0, 0.0]
+        mask = x[idx, f] <= t
+        grow(idx[mask], depth + 1)
+        node[2] = len(nodes)
+        grow(idx[~mask], depth + 1)
+
+    grow(np.arange(len(x)), 0)
+    feature, threshold, right, prob = np.array(nodes, dtype=float).T.copy()
+    return {"feature": feature.astype(np.intp), "threshold": threshold,
+            "right": right.astype(np.intp), "prob": prob}
+
+
+def forest_recursive(x, y, n_trees, max_features, bootstrap, seed, max_depth, min_leaf) -> list:
+    """Bagged trees one at a time: tree i takes ``default_rng(seed +
+    i)``, draws its bootstrap sample from it (when ``bootstrap``), and
+    grows :func:`tree_recursive` on the sampled rows with that same
+    generator for its feature draws."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=int)
+    n, p = x.shape
+    trees = []
+    for i in range(n_trees):
+        rng = np.random.default_rng(seed + i)
+        sample = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        trees.append(tree_recursive(x[sample], y[sample], max_depth, min_leaf,
+                                    max_features if max_features < p else None, rng))
+    return trees
 
 
 def forest_score_recursive(trees, row) -> float:

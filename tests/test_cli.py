@@ -167,11 +167,26 @@ def test_train_deterministic_model_files(pipeline, capsys):
     model_b = str(pipeline["tmp"] / "model_b.json")
     sel = str(pipeline["tmp"] / "selection.json")
     code, _ = _run(capsys, "train", "--in", pipeline["features"],
-                   "--selection", sel, "--seed", "3", "--trees", "20",
+                   "--selection", sel, "--seed", "3", "--trees", "20", "--jobs", "3",
                    "--out", model_b, "--test-out",
                    str(pipeline["tmp"] / "tb.csv"))
     assert code == 0
     assert blob_a == Path(model_b).read_bytes()
+
+
+@pytest.mark.parametrize("flag,value,name", [
+    ("trees", 0, "n_trees"), ("trees", -3, "n_trees"), ("min-leaf", 0, "min_leaf"),
+    ("max-depth", -1, "max_depth"), ("knn-k", 0, "knn_k"), ("lr-epochs", -1, "lr_epochs"),
+])
+def test_train_rejects_bad_hyperparameter(pipeline, capsys, flag, value, name):
+    sel = str(pipeline["tmp"] / "selection.json")
+    _run(capsys, "select", "--in", pipeline["features"], "--out", sel)
+    model = pipeline["tmp"] / "model.json"
+    code = main(["train", "--in", pipeline["features"], "--selection", sel,
+                 "--out", str(model), f"--{flag}", str(value)])
+    assert code == 2
+    assert f"{name} must be at least" in capsys.readouterr().err
+    assert not model.exists()
 
 
 def test_predict_single_and_batch(pipeline, capsys):

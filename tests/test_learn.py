@@ -41,7 +41,7 @@ from domaintriage.learn import (
     votes,
 )
 from domaintriage.model import DomainTriageError
-from oracles import forest_score_recursive, knn_score_bruteforce
+from oracles import forest_recursive, forest_score_recursive, knn_score_bruteforce
 
 
 # --- standardizer -----------------------------------------------------------
@@ -201,6 +201,11 @@ def test_tree_rejects_empty():
         train_decision_tree(np.empty((0, 3)), np.empty(0, dtype=int))
 
 
+def test_tree_rejects_labels_other_than_0_and_1():
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        train_decision_tree(np.arange(6.0).reshape(3, 2), np.array([0, 2, 1]))
+
+
 # --- random forest ----------------------------------------------------------
 
 def _blobs(n=120, p=5, seed=30, spread=2.5):
@@ -252,6 +257,59 @@ def test_degenerate_forest_equals_single_tree():
     q = np.random.default_rng(4).normal(size=(200, 5)) + 1.2
     assert (forest_predict_proba(forest, q) == forest_predict_proba([tree], q)).all()
     assert forest[0].to_payload() == tree.to_payload()
+
+
+def test_forest_split_chunks_consistent(monkeypatch):
+    x, y = _blobs(seed=43)
+    x[:, 1] = np.round(x[:, 1])  # ties
+    whole = train_random_forest(x, y, n_trees=9, seed=4, min_leaf=2)
+    monkeypatch.setattr(learn, "_SPLIT_KEYS", 16)  # a node or two per chunk
+    chunked = train_random_forest(x, y, n_trees=9, seed=4, min_leaf=2)
+    assert [t.to_payload() for t in chunked] == [t.to_payload() for t in whole]
+
+
+def _tree_bits(columns: dict) -> list[bytes]:
+    return [columns[key].tobytes() for key in ("feature", "threshold", "right", "prob")]
+
+
+# values where the midpoint rule and the ordering are easy to get wrong
+_SPLIT_VALUES = st.one_of(
+    st.integers(-2, 2).map(float),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1e308, -1.5e308, 1.0000000000000002]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_lockstep_forest_equals_recursive_grower(data):
+    n = data.draw(st.integers(1, 40))
+    p = data.draw(st.integers(1, 4))
+    x = np.array(data.draw(st.lists(_SPLIT_VALUES, min_size=n * p, max_size=n * p))).reshape(n, p)
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    params = dict(
+        n_trees=data.draw(st.integers(1, 5)), max_features=data.draw(st.integers(1, p)),
+        bootstrap=data.draw(st.booleans()), seed=data.draw(st.integers(0, 2**16)),
+        max_depth=data.draw(st.integers(0, 7)), min_leaf=data.draw(st.integers(1, 5)),
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = forest_recursive(x, y, **params)
+    with pytest.MonkeyPatch.context() as patch:
+        if data.draw(st.booleans()):
+            patch.setattr(learn, "_SPLIT_KEYS", 16)
+        got = train_random_forest(x, y, **params)
+    assert [_tree_bits(vars(t)) for t in got] == [_tree_bits(t) for t in want]
+
+
+def test_decision_tree_equals_recursive_grower():
+    rng = np.random.default_rng(44)
+    x = rng.integers(0, 6, size=(300, 4)).astype(float)
+    x[:, 2] += rng.normal(size=300)
+    y = (x[:, 0] + x[:, 2] + rng.normal(size=300) > 4).astype(int)
+    (want,) = forest_recursive(x, y, n_trees=1, max_features=4, bootstrap=False, seed=0,
+                               max_depth=12, min_leaf=3)
+    assert _tree_bits(vars(train_decision_tree(x, y, max_depth=12, min_leaf=3))) == _tree_bits(want)
 
 
 def test_lockstep_forest_equals_recursive_walk():
@@ -571,7 +629,7 @@ def test_member_table_covers_the_default_models():
 def test_member_payload_round_trip_scores_bit_equal(kind):
     x, y = _raw17(seed=63)
     xs = Standardizer.fit(x[:, [0, 4, 9]]).transform(x[:, [0, 4, 9]])
-    member = MEMBERS[kind].fit(xs, y, dict(learn.DEFAULT_PARAMS, n_trees=5), 3, 1)
+    member = MEMBERS[kind].fit(xs, y, dict(learn.DEFAULT_PARAMS, n_trees=5), 3)
     assert member.kind == kind
     payload = json.loads(json.dumps(member.to_payload()))
     clone = MEMBERS[kind].from_payload(payload, width=3)
