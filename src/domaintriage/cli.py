@@ -289,7 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", default=os.environ.get(CACHE_ENV_VAR, "whois_cache.jsonl"),
                    help="JSONL cache path (env %s)" % CACHE_ENV_VAR)
     p.add_argument("--timeout", "--whois-timeout", dest="timeout", type=float,
-                   default=10.0, help="per-query timeout in seconds")
+                   default=10.0,
+                   help="seconds each exchange with a WHOIS server may take in all, "
+                        "from connect to the last byte")
     p.add_argument("--rate", type=float, default=1.0,
                    help="minimum seconds between queries to the same server")
     p.set_defaults(func=_cmd_whois_fetch)

@@ -808,6 +808,10 @@ def train_ensemble(
     for name, least in _PARAM_MINIMUMS.items():
         if params[name] < least:
             raise InvalidHyperparameter(f"{name} must be at least {least}, got {params[name]}")
+    if not (math.isfinite(params["l2"]) and params["l2"] >= 0):
+        raise InvalidHyperparameter(f"l2 must be finite and at least 0, got {params['l2']}")
+    if not (math.isfinite(params["lr_rate"]) and params["lr_rate"] > 0):
+        raise InvalidHyperparameter(f"lr_rate must be finite and above 0, got {params['lr_rate']}")
     if not models:
         raise ValueError("need at least one member model")
     for kind in models:

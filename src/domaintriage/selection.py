@@ -1,7 +1,7 @@
 """Correlation-based feature selection.
 
 Highly correlated features carry redundant signal, so the pipeline
-computes the pairwise Pearson matrix and greedily drops any feature
+computes the pairwise-complete Pearson matrix and greedily drops any feature
 whose |r| against an already-kept feature exceeds the threshold
 (default 0.60).  Two named presets reproduce the published reference
 feature sets for WHOIS-complete and WHOIS-missing data.
@@ -35,27 +35,37 @@ PRESETS: dict[str, tuple[int, ...]] = {
 }
 
 
+def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
+    """Two-pass Pearson r of two float columns of equal length (at least
+    two rows), clamped to [-1, 1]; ``None`` when either column is
+    constant, or so spread or so tight that its sum of squares leaves
+    the float range."""
+    if x.min() == x.max() or y.min() == y.max():
+        return None
+    dx = x - x.mean()
+    dy = y - y.mean()
+    den = math.sqrt(float(dx @ dx) * float(dy @ dy))
+    if not 0.0 < den < math.inf:
+        return None
+    # rounding can put |r| of an exactly linear pair just above 1, and a
+    # threshold of 1.0 must never drop such a column
+    return min(max(float(dx @ dy) / den, -1.0), 1.0)
+
+
 def pearson(x, y) -> float | None:
-    """Sample Pearson correlation of two columns.
+    """Sample Pearson correlation of two columns, clamped to [-1, 1].
 
     Returns ``None`` (undefined) when either column is constant, since
     the coefficient has a zero denominator there.
     """
-    x = list(x)
-    y = list(y)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     if len(x) != len(y):
         raise LengthMismatch(f"columns have {len(x)} vs {len(y)} rows")
     n = len(x)
     if n < 2:
         raise TooFewSamples(f"need at least 2 rows, got {n}")
-    if all(v == x[0] for v in x) or all(v == y[0] for v in y):
-        return None
-    mean_x = math.fsum(x) / n
-    mean_y = math.fsum(y) / n
-    cov = math.fsum((a - mean_x) * (b - mean_y) for a, b in zip(x, y))
-    var_x = math.fsum((a - mean_x) ** 2 for a in x)
-    var_y = math.fsum((b - mean_y) ** 2 for b in y)
-    return cov / math.sqrt(var_x * var_y)
+    return _pearson(x, y)
 
 
 @dataclass
@@ -69,11 +79,12 @@ class CorrelationMatrix:
 
 
 def correlation_matrix(x, feature_ids: list[int] | None = None) -> CorrelationMatrix:
-    """Pairwise Pearson matrix of the columns of ``x``.
+    """Pairwise-complete Pearson matrix of the columns of ``x``.
 
     ``x`` is an (n, p) array where NaN marks absent values; for each
     pair of columns, rows absent in either column are dropped before
-    the coefficient is computed.
+    the coefficient is computed, so each pair is centred on its own
+    means.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -84,15 +95,16 @@ def correlation_matrix(x, feature_ids: list[int] | None = None) -> CorrelationMa
     ids = list(range(p)) if feature_ids is None else list(feature_ids)
     if len(ids) != p:
         raise LengthMismatch(f"{p} columns but {len(ids)} feature ids")
-    present = ~np.isnan(x)
+    columns = np.ascontiguousarray(x.T)
+    present = ~np.isnan(columns)
     values: list[list[float | None]] = [[None] * p for _ in range(p)]
     for i in range(p):
         for j in range(i, p):
-            mask = present[:, i] & present[:, j]
-            if int(mask.sum()) < 2:
+            mask = present[i] & present[j]
+            if np.count_nonzero(mask) < 2:
                 r = None
             else:
-                r = pearson(x[mask, i].tolist(), x[mask, j].tolist())
+                r = _pearson(columns[i][mask], columns[j][mask])
             values[i][j] = r
             values[j][i] = r
     return CorrelationMatrix(size=p, values=values, feature_ids=ids)

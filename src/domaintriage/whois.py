@@ -26,6 +26,9 @@ PROXY_ENV_VAR = "DOMAINTRIAGE_WHOIS_PROXY"
 IANA_HOST = "whois.iana.org"
 WHOIS_PORT = 43
 
+# the most bytes one response may have; registry answers are a few KB
+MAX_RESPONSE_BYTES = 1 << 20
+
 # registry servers for the TLDs the default lists care about; anything
 # else is resolved through IANA at query time
 DEFAULT_SERVERS = {
@@ -57,7 +60,12 @@ class WhoisError(DomainTriageError):
 
 
 class WhoisTimeout(WhoisError):
-    """The server did not answer within the configured timeout."""
+    """The exchange with the server did not finish within the configured
+    timeout."""
+
+
+class ResponseTooLarge(WhoisError):
+    """The server sent more than ``MAX_RESPONSE_BYTES``."""
 
 
 class WhoisConnectionRefused(WhoisError):
@@ -119,22 +127,34 @@ def _parse_proxy(value: str) -> tuple[str, str, int]:
     return m.group(1), m.group(2), int(m.group(3))
 
 
-def _connect_direct(host: str, port: int, timeout: float) -> socket.socket:
-    return socket.create_connection((host, port), timeout=timeout)
+def _time_left(deadline: float) -> float:
+    """Seconds until ``deadline`` (a ``time.monotonic`` value); raises
+    ``socket.timeout`` once it has passed."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise socket.timeout("deadline passed")
+    return left
+
+
+def _connect_direct(host: str, port: int, deadline: float) -> socket.socket:
+    return socket.create_connection((host, port), timeout=_time_left(deadline))
 
 
 def _connect_via_http(proxy_host: str, proxy_port: int, host: str, port: int,
-                      timeout: float) -> socket.socket:
-    sock = socket.create_connection((proxy_host, proxy_port), timeout=timeout)
+                      deadline: float) -> socket.socket:
+    sock = socket.create_connection((proxy_host, proxy_port), timeout=_time_left(deadline))
     try:
         req = f"CONNECT {host}:{port} HTTP/1.1\r\nHost: {host}:{port}\r\n\r\n"
         sock.sendall(req.encode("ascii"))
         reply = b""
         while b"\r\n\r\n" not in reply:
+            sock.settimeout(_time_left(deadline))
             chunk = sock.recv(1024)
             if not chunk:
                 break
             reply = reply + chunk
+            if len(reply) > MAX_RESPONSE_BYTES:
+                raise ResponseTooLarge(f"proxy's reply to CONNECT exceeds {MAX_RESPONSE_BYTES} bytes")
         status = reply.split(b"\r\n", 1)[0]
         if b" 200" not in status:
             raise WhoisConnectionRefused(
@@ -147,16 +167,18 @@ def _connect_via_http(proxy_host: str, proxy_port: int, host: str, port: int,
 
 
 def _connect_via_socks5(proxy_host: str, proxy_port: int, host: str, port: int,
-                        timeout: float) -> socket.socket:
-    sock = socket.create_connection((proxy_host, proxy_port), timeout=timeout)
+                        deadline: float) -> socket.socket:
+    sock = socket.create_connection((proxy_host, proxy_port), timeout=_time_left(deadline))
     try:
         sock.sendall(b"\x05\x01\x00")  # version 5, one method: no auth
+        sock.settimeout(_time_left(deadline))
         reply = sock.recv(2)
         if reply != b"\x05\x00":
             raise WhoisConnectionRefused("SOCKS5 proxy rejected the handshake")
         name = host.encode("idna")
         sock.sendall(b"\x05\x01\x00\x03" + bytes([len(name)]) + name
                      + port.to_bytes(2, "big"))
+        sock.settimeout(_time_left(deadline))
         reply = sock.recv(10)
         if len(reply) < 2 or reply[1] != 0x00:
             raise WhoisConnectionRefused(f"SOCKS5 connect failed (code {reply[1:2].hex()})")
@@ -173,7 +195,9 @@ class WhoisClient:
     a single IANA referral lookup, whose answer the client's own copy of
     the map keeps.  ``proxy`` (or the ``DOMAINTRIAGE_WHOIS_PROXY``
     environment variable) tunnels every connection through an HTTP
-    CONNECT or SOCKS5 proxy.
+    CONNECT or SOCKS5 proxy.  ``timeout`` bounds each exchange as a
+    whole, and a response over ``MAX_RESPONSE_BYTES`` raises
+    ``ResponseTooLarge``.
     """
 
     def __init__(
@@ -193,14 +217,14 @@ class WhoisClient:
         proxy = proxy if proxy is not None else os.environ.get(PROXY_ENV_VAR) or None
         self._proxy = _parse_proxy(proxy) if proxy else None
 
-    def _connect(self, host: str) -> socket.socket:
+    def _connect(self, host: str, deadline: float) -> socket.socket:
         try:
             if self._proxy is None:
-                return _connect_direct(host, self.port, self.timeout)
+                return _connect_direct(host, self.port, deadline)
             scheme, phost, pport = self._proxy
             if scheme == "http":
-                return _connect_via_http(phost, pport, host, self.port, self.timeout)
-            return _connect_via_socks5(phost, pport, host, self.port, self.timeout)
+                return _connect_via_http(phost, pport, host, self.port, deadline)
+            return _connect_via_socks5(phost, pport, host, self.port, deadline)
         except socket.timeout as exc:
             raise WhoisTimeout(f"{host}: connect timed out after {self.timeout}s") from exc
         except ConnectionRefusedError as exc:
@@ -213,21 +237,31 @@ class WhoisClient:
     def _converse(self, server: str, text: str) -> str:
         with self._limiter.lock_for(server):
             self._limiter.wait(server)
+            # ``timeout`` bounds the whole exchange, so a server that
+            # drips its answer cannot hold a query for longer
+            deadline = time.monotonic() + self.timeout
             try:
-                sock = self._connect(server)
+                sock = self._connect(server, deadline)
                 try:
+                    sock.settimeout(_time_left(deadline))
                     sock.sendall((text + "\r\n").encode("utf-8"))
                     chunks = []
+                    size = 0
                     while True:
+                        sock.settimeout(_time_left(deadline))
                         data = sock.recv(4096)
                         if not data:
                             break
+                        size += len(data)
+                        if size > MAX_RESPONSE_BYTES:
+                            raise ResponseTooLarge(
+                                f"{server}: response exceeds {MAX_RESPONSE_BYTES} bytes")
                         chunks.append(data)
                 finally:
                     sock.close()
                     self._limiter.mark(server)
             except socket.timeout as exc:
-                raise WhoisTimeout(f"{server}: no reply within {self.timeout}s") from exc
+                raise WhoisTimeout(f"{server}: exchange not done within {self.timeout}s") from exc
             except WhoisError:
                 raise
             except OSError as exc:
@@ -284,6 +318,21 @@ _KEY_FAMILIES = {
 }
 
 
+def _needs(fmt: str) -> tuple[str, int, frozenset[str], bool]:
+    """A format with what a stripped string must have for ``strptime`` to
+    match it: its leading digits (four for %Y; one for %d, whose other
+    form, a space and a digit, cannot start such a string), the
+    format's literal characters, lower-cased because ``strptime``
+    matches with IGNORECASE, and whitespace, which is what a space in a
+    format matches."""
+    literals = re.sub("%.", "", fmt)
+    lead = {"%Y": 4, "%d": 1}[fmt[:2]]
+    return fmt, lead, frozenset(literals.replace(" ", "").lower()), " " in literals
+
+
+_DATE_NEEDS = tuple(_needs(fmt) for fmt in _DATE_FORMATS)
+
+
 def _parse_whois_date(text: str) -> dt.date | None:
     text = text.strip()
     if not text:
@@ -296,12 +345,22 @@ def _parse_whois_date(text: str) -> dt.date | None:
         return parsed.date()
     except ValueError:
         pass
-    for candidate in (text, text.split()[0], text.split()[0].title()):
-        for fmt in _DATE_FORMATS:
-            try:
-                return dt.datetime.strptime(candidate, fmt).date()
-            except ValueError:
-                continue
+    # strptime judges every format tried.  A format is skipped only when
+    # it cannot match (no candidate starts with a space), and so is a
+    # candidate equal to an earlier one, which failed.  Each miss costs
+    # a raised ValueError, and trying more than five formats keeps
+    # clearing strptime's cache of compiled formats.
+    first = text.split()[0]
+    for candidate in dict.fromkeys((text, first, first.title())):
+        chars = set(candidate.lower())
+        spaced = candidate.split() != [candidate]
+        for fmt, lead, literals, needs_space in _DATE_NEEDS:
+            if (candidate[:lead].isdigit() and literals <= chars
+                    and (spaced or not needs_space)):
+                try:
+                    return dt.datetime.strptime(candidate, fmt).date()
+                except ValueError:
+                    continue
     return None
 
 
@@ -327,11 +386,11 @@ def parse_whois(
         value = value.strip()
         if not value:
             continue
-        if created is None and any(key.startswith(k) for k in _KEY_FAMILIES["created"]):
+        if created is None and key.startswith(_KEY_FAMILIES["created"]):
             created = _parse_whois_date(value)
-        elif expires is None and any(key.startswith(k) for k in _KEY_FAMILIES["expires"]):
+        elif expires is None and key.startswith(_KEY_FAMILIES["expires"]):
             expires = _parse_whois_date(value)
-        elif updated is None and any(key.startswith(k) for k in _KEY_FAMILIES["updated"]):
+        elif updated is None and key.startswith(_KEY_FAMILIES["updated"]):
             updated = _parse_whois_date(value)
         elif registrar_raw is None and key == "registrar":
             registrar_raw = value

@@ -5,6 +5,7 @@ back into the package, so a bug in the implementation cannot hide
 behind the same bug in its test.
 """
 
+import datetime as dt
 import math
 
 import numpy as np
@@ -59,6 +60,42 @@ def pearson_definitional(xs, ys):
     vx = math.fsum((x - mx) ** 2 for x in xs)
     vy = math.fsum((y - my) ** 2 for y in ys)
     return cov / math.sqrt(vx * vy)
+
+
+WHOIS_DATE_FORMATS = (
+    "%Y-%m-%d",
+    "%Y-%m-%dT%H:%M:%S",
+    "%Y-%m-%d %H:%M:%S",
+    "%d-%b-%Y",
+    "%d.%m.%Y",
+    "%Y.%m.%d",
+    "%Y/%m/%d",
+    "%d-%m-%Y",
+)
+
+
+def whois_date_every_format(text: str):
+    """A WHOIS date value parsed the plain way: ``fromisoformat``, then
+    every format against each of the whole value, its first word and
+    that word title-cased, first success wins; None if nothing parses."""
+    text = text.strip()
+    if not text:
+        return None
+    iso = text[:-1] + "+00:00" if text.endswith("Z") else text
+    try:
+        parsed = dt.datetime.fromisoformat(iso)
+        if parsed.tzinfo is not None:
+            parsed = parsed.astimezone(dt.timezone.utc)
+        return parsed.date()
+    except ValueError:
+        pass
+    for candidate in (text, text.split()[0], text.split()[0].title()):
+        for fmt in WHOIS_DATE_FORMATS:
+            try:
+                return dt.datetime.strptime(candidate, fmt).date()
+            except ValueError:
+                continue
+    return None
 
 
 def entropy_definitional(text: str) -> float:

@@ -189,6 +189,21 @@ def test_train_rejects_bad_hyperparameter(pipeline, capsys, flag, value, name):
     assert not model.exists()
 
 
+@pytest.mark.parametrize("flag,value,name", [
+    ("l2", "-1", "l2"), ("l2", "nan", "l2"), ("l2", "inf", "l2"),
+    ("lr-rate", "0", "lr_rate"), ("lr-rate", "-0.1", "lr_rate"), ("lr-rate", "nan", "lr_rate"),
+])
+def test_train_rejects_bad_float_hyperparameter(pipeline, capsys, flag, value, name):
+    sel = str(pipeline["tmp"] / "selection.json")
+    _run(capsys, "select", "--in", pipeline["features"], "--out", sel)
+    model = pipeline["tmp"] / "model.json"
+    code = main(["train", "--in", pipeline["features"], "--selection", sel,
+                 "--out", str(model), f"--{flag}", value])
+    assert code == 2
+    assert f"{name} must be finite" in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_predict_single_and_batch(pipeline, capsys):
     model, _, _ = _train(pipeline, capsys)
     code, rows = _run(capsys, "predict", "--model", model,

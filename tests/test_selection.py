@@ -5,6 +5,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domaintriage.selection import (
     PRESETS,
@@ -128,6 +130,56 @@ def test_prune_threshold_boundary_is_strict():
     x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     m = correlation_matrix(x)
     assert prune(m, 1.0) == [0, 1]
+
+
+def test_prune_at_one_keeps_exact_linear_copies():
+    # rounding can put |r| of an exact affine copy just above 1, and at a
+    # threshold of 1.0 no non-constant column may be dropped
+    rng = np.random.default_rng(21)
+    for scale in (1e-3, 1e-1, 1.0, 1e2, 1e5):
+        for _ in range(20):
+            a = rng.normal(size=int(rng.integers(3, 300))) * scale
+            m = correlation_matrix(np.column_stack([a, 3.7 * a + 1, -a]))
+            assert prune(m, 1.0) == [0, 1, 2]
+            assert all(abs(r) <= 1.0 for row in m.values for r in row)
+    assert prune(correlation_matrix(np.column_stack([a, a * 0 + 2, -a])), 1.0) == [0, 2]
+
+
+def _column(kind, n, base, draw):
+    if kind == "constant":
+        return [float(draw(st.integers(-3, 3)))] * n
+    if kind == "copy":  # an exact affine copy of the first column
+        return [3.7 * v + 1 for v in base]
+    scale = draw(st.sampled_from((1e-3, 1.0, 1e5)))
+    return [draw(st.integers(-50, 50)) * scale for _ in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_matrix_matches_definitional_pearson(data):
+    draw = data.draw
+    n = draw(st.integers(2, 12))
+    base = _column("random", n, None, draw)
+    kinds = st.sampled_from(("random", "random", "constant", "copy"))
+    x = np.array([base] + [_column(draw(kinds), n, base, draw)
+                           for _ in range(draw(st.integers(0, 4)))]).T
+    p = x.shape[1]
+    if draw(st.booleans()):
+        # NaN gaps, dense enough that some pairs share fewer than two rows
+        gaps = draw(st.lists(st.booleans(), min_size=n * p, max_size=n * p))
+        x[np.array(gaps).reshape(n, p)] = np.nan
+    m = correlation_matrix(x)
+    for i in range(p):
+        for j in range(p):
+            both = ~np.isnan(x[:, i]) & ~np.isnan(x[:, j])
+            want = None if both.sum() < 2 else pearson_definitional(
+                list(x[both, i]), list(x[both, j]))
+            got = m.values[i][j]
+            if want is None:
+                assert got is None
+            else:
+                assert got is not None and abs(got - want) <= 1e-12
+                assert abs(got) <= 1.0
 
 
 def test_prune_threshold_validation():

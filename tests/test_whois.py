@@ -1,17 +1,22 @@
 import datetime as dt
 import json
+import re
 import socket
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domaintriage.model import DomainTriageError, parse_domain
 from domaintriage.whois import (
     DEFAULT_SERVERS,
+    MAX_RESPONSE_BYTES,
     PROXY_ENV_VAR,
     NoServerForTld,
     RateLimited,
+    ResponseTooLarge,
     WhoisCache,
     WhoisClient,
     WhoisConnectionRefused,
@@ -22,6 +27,7 @@ from domaintriage.whois import (
     fetch_or_cache,
     parse_whois,
 )
+from oracles import WHOIS_DATE_FORMATS, whois_date_every_format
 
 TODAY = dt.date(2020, 5, 16)
 
@@ -30,10 +36,11 @@ class StubServer:
     """Minimal port-43 server: reads one CRLF-terminated query line and
     answers from a response table, recording what it saw."""
 
-    def __init__(self, responses=None, default="no match\r\n", hang=False):
+    def __init__(self, responses=None, default="no match\r\n", hang=False, drip_s=None):
         self.responses = responses or {}
         self.default = default
         self.hang = hang
+        self.drip_s = drip_s
         self.queries = []
         self.times = []
         self._sock = socket.socket()
@@ -64,8 +71,13 @@ class StubServer:
                     if self.hang:
                         time.sleep(5.0)
                         continue
-                    reply = self.responses.get(query, self.default)
-                    conn.sendall(reply.encode("utf-8"))
+                    reply = self.responses.get(query, self.default).encode("utf-8")
+                    if self.drip_s is None:
+                        conn.sendall(reply)
+                        continue
+                    for i in range(len(reply)):
+                        conn.sendall(reply[i:i + 1])
+                        time.sleep(self.drip_s)
                 except OSError:
                     pass
 
@@ -166,6 +178,49 @@ def test_timeout():
             client.query(parse_domain("x.com"))
     finally:
         server.close()
+
+
+@pytest.mark.parametrize("via_proxy", [False, True])
+def test_timeout_bounds_the_whole_exchange(via_proxy):
+    # one byte every 50 ms never lets a single recv wait 0.3 s, but the
+    # 60-byte answer (or proxy reply to CONNECT) would take 3 s in all
+    server = StubServer(default="HTTP/1.1 200 " + "x" * 46 + "\n", drip_s=0.05)
+    try:
+        if via_proxy:
+            client = WhoisClient(server_map={"com": "registry.example"}, timeout=0.3,
+                                 min_interval=0.0, proxy=f"http://127.0.0.1:{server.port}")
+        else:
+            client = _client(server, timeout=0.3)
+        start = time.monotonic()
+        with pytest.raises(WhoisTimeout):
+            client.query(parse_domain("x.com"))
+        assert time.monotonic() - start < 1.5
+    finally:
+        server.close()
+
+
+def test_response_size_cap(tmp_path, stub):
+    stub.responses["full.com"] = "x" * MAX_RESPONSE_BYTES
+    stub.responses["over.com"] = "x" * (MAX_RESPONSE_BYTES + 1)
+    client = _client(stub)
+    assert len(client.query(parse_domain("full.com"))) == MAX_RESPONSE_BYTES
+    cache = WhoisCache(str(tmp_path / "c.jsonl"))
+    with pytest.raises(ResponseTooLarge):
+        fetch_or_cache(parse_domain("over.com"), cache, client)
+    assert len(cache) == 0
+    assert not (tmp_path / "c.jsonl").exists()
+
+
+def test_proxy_reply_size_cap():
+    # a reply to CONNECT whose header never ends
+    proxy = StubServer(default="x" * (MAX_RESPONSE_BYTES + 1))
+    try:
+        client = WhoisClient(server_map={"com": "registry.example"}, timeout=2.0,
+                             min_interval=0.0, proxy=f"http://127.0.0.1:{proxy.port}")
+        with pytest.raises(ResponseTooLarge):
+            client.query(parse_domain("x.com"))
+    finally:
+        proxy.close()
 
 
 def test_rate_limit_signal_detected(stub):
@@ -443,6 +498,102 @@ def test_parse_whois_date_formats():
     assert _parse_whois_date("2020-05-04T01:00:00+05:00") == dt.date(2020, 5, 3)
     assert _parse_whois_date("gibberish") is None
     assert _parse_whois_date("") is None
+
+
+# each date layout the benchmark's registries write, and its redacted forms
+@pytest.mark.parametrize("text,want", [
+    ("2020-05-03T11:22:33Z", dt.date(2020, 5, 3)),
+    ("2020-05-03T23:59:59Z", dt.date(2020, 5, 3)),
+    ("03-May-2020", dt.date(2020, 5, 3)),
+    ("31-Dec-2019", dt.date(2019, 12, 31)),
+    ("2020.05.03", dt.date(2020, 5, 3)),
+    ("2021.12.31", dt.date(2021, 12, 31)),
+    ("REDACTED FOR PRIVACY", None),
+    ("redacted", None),
+    ("hidden", None),
+])
+def test_parse_whois_date_benchmark_layouts(text, want):
+    assert _parse_whois_date(text) == want
+    assert whois_date_every_format(text) == want
+
+
+def test_parse_whois_paid_till_layout():
+    raw = ("% TCI Whois Service. Terms of use:\r\n"
+           "domain:        THING.RU\r\n"
+           "state:         REGISTERED, DELEGATED, UNVERIFIED\r\n"
+           "registrar:     RU-CENTER-RU\r\n"
+           "created:       2019.04.05\r\n"
+           "paid-till:     2021.04.05\r\n"
+           "source:        TCI\r\n")
+    rec = parse_whois(raw, parse_domain("thing.ru"), TODAY)
+    assert (rec.created, rec.expires, rec.updated) == (dt.date(2019, 4, 5), dt.date(2021, 4, 5), None)
+    hidden = parse_whois(raw.replace("2021.04.05", "hidden"), parse_domain("thing.ru"), TODAY)
+    assert (hidden.created, hidden.expires) == (dt.date(2019, 4, 5), None)
+
+
+# ASCII, Arabic-Indic, Devanagari and fullwidth digits: strptime's \d takes them all
+_DIGIT_SETS = ("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+               "\u0966\u0967\u0968\u0969\u096a\u096b\u096c\u096d\u096e\u096f",
+               "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")
+_MONTHS = ("jan", "feb", "mar", "apr", "may", "jun", "jul", "aug", "sep", "oct", "nov", "dec",
+           "june", "sept", "december")
+_SEPARATORS = ("-", ".", "/", ":", " ", "T", "t")
+_WHITESPACE = " \t\n\r\x0b\x0c\xa0\u2003\u3000"
+
+
+def _any_case(word):
+    return st.tuples(*[st.sampled_from((c.lower(), c.upper())) for c in word]).map("".join)
+
+
+def _mostly(usual, other, odds=4):
+    """``usual``, except about one time in ``odds``: ``other``."""
+    return st.sampled_from(range(odds)).flatmap(lambda k: other if k == odds - 1 else usual)
+
+
+def _number(lo, hi):
+    # zero-padded or not, mostly in ASCII digits
+    digits = _mostly(st.just(_DIGIT_SETS[0]), st.sampled_from(_DIGIT_SETS[1:]))
+    return st.builds(lambda v, pad, digits: (f"{v:02d}" if pad else str(v)).translate(
+                         str.maketrans("0123456789", digits)),
+                     st.integers(lo, hi), st.booleans(), digits)
+
+
+_FIELDS = {"%Y": _mostly(_number(1900, 2100), _number(0, 99999)),
+           "%m": _mostly(_number(1, 12), _number(0, 99)),
+           "%d": _mostly(_number(1, 31), _number(0, 99)),
+           "%b": st.sampled_from(_MONTHS).flatmap(_any_case),
+           "%H": _mostly(_number(0, 23), _number(0, 99)),
+           "%M": _mostly(_number(0, 59), _number(0, 99)),
+           "%S": _mostly(_number(0, 59), _number(0, 99))}
+_date_token = st.one_of(
+    *_FIELDS.values(),
+    st.sampled_from(_SEPARATORS),
+    st.text(alphabet=_WHITESPACE, min_size=1, max_size=3),
+    st.sampled_from(("Z", "z", "+00:00", "-05:30", "+0100", "UTC", "GMT")),
+)
+
+
+def _literal(text):
+    # mostly the format's own separator, sometimes another one
+    same = st.text(alphabet=_WHITESPACE, min_size=1, max_size=3) if text == " " else st.just(text)
+    return _mostly(same, st.sampled_from(_SEPARATORS), odds=8)
+
+
+# a value laid out by one of the formats, with fields that may be out of
+# range, separators that may be swapped and a tail that may be noise
+_near_date = st.sampled_from(WHOIS_DATE_FORMATS).flatmap(lambda fmt: st.tuples(
+    *[_FIELDS[part] if part in _FIELDS else _literal(part)
+      for part in re.split("(%.)", fmt) if part],
+    _mostly(st.just(""), st.lists(_date_token, max_size=4).map("".join)),
+).map("".join))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(_near_date, st.lists(_date_token, max_size=10).map("".join),
+                 st.text(alphabet=_WHITESPACE, max_size=2).flatmap(
+                     lambda pad: _near_date.map(lambda t: pad + t + pad))))
+def test_parse_whois_date_equals_trying_every_format(text):
+    assert _parse_whois_date(text) == whois_date_every_format(text)
 
 
 # --- cache ------------------------------------------------------------------
