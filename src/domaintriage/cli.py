@@ -21,10 +21,7 @@ from domaintriage import evaluation, ingest, learn, selection, whois
 from domaintriage.features import extract_all
 from domaintriage.model import (
     FEATURE_NAMES,
-    DatasetRow,
     DomainTriageError,
-    FeatureVector,
-    LabeledDataset,
     parse_domain,
 )
 from domaintriage.segment import LanguageModel, segment_keywords
@@ -96,9 +93,10 @@ def _cmd_whois_fetch(args) -> int:
     return 0
 
 
-def _extract_features(domains, cache_path, reference_date) -> list[FeatureVector]:
-    """The 17 features of each domain, with WHOIS data from the cache
-    at ``cache_path`` (if given) wherever it holds the domain."""
+def _extract_features(domains, cache_path, reference_date) -> np.ndarray:
+    """The (n, 17) feature array of the domains, NaN where a feature is
+    absent, with WHOIS data from the cache at ``cache_path`` (if given)
+    wherever it holds the domain."""
     cache = whois.WhoisCache(cache_path) if cache_path else None
     out = []
     for domain in domains:
@@ -108,27 +106,25 @@ def _extract_features(domains, cache_path, reference_date) -> list[FeatureVector
             if hit is not None:
                 raw, cached_on = hit
                 record = whois.parse_whois(raw, domain, cached_on)
-        out.append(extract_all(domain, record, reference_date=reference_date))
-    return out
+        out.append(extract_all(domain, record, reference_date=reference_date).to_row())
+    return np.array(out, dtype=float).reshape(-1, len(FEATURE_NAMES))
 
 
 def _cmd_extract(args) -> int:
     dataset = ingest.read_dataset(args.infile)
     reference_date = args.reference_date or dt.date.today()
-    features = _extract_features([row.domain for row in dataset.rows], args.cache,
-                                 reference_date)
-    rows = [
-        DatasetRow(domain=row.domain, label=row.label, source=row.source,
-                   first_seen=row.first_seen, features=f)
-        for row, f in zip(dataset.rows, features)
-    ]
-    with_whois = sum(f.f1_reg_age_days is not None for f in features)
-    out_ds = LabeledDataset(rows=rows)
-    ingest.write_features(out_ds, args.out, reference_date)
+    table = ingest.FeatureTable(
+        domains=[row.domain.raw for row in dataset.rows],
+        x=_extract_features([row.domain for row in dataset.rows], args.cache, reference_date),
+        y=np.array(dataset.labels(), dtype=int),
+        reference_date=reference_date,
+    )
+    ingest.write_features(table, args.out)
+    with_whois = int((~np.isnan(table.x[:, 0])).sum())
     _emit({
-        "rows": len(rows),
+        "rows": len(table),
         "whois_present": with_whois,
-        "whois_missing": len(rows) - with_whois,
+        "whois_missing": len(table) - with_whois,
         "reference_date": reference_date.isoformat(),
         "out": args.out,
     })
@@ -143,9 +139,7 @@ def _cmd_select(args) -> int:
     else:
         if not args.infile:
             raise SystemExit2("--in is required unless --preset is given")
-        dataset, _ = ingest.read_features(args.infile)
-        x, _ = dataset.feature_matrix()
-        matrix = selection.correlation_matrix(x)
+        matrix = selection.correlation_matrix(ingest.read_features(args.infile).x)
         if args.matrix_out:
             selection.write_matrix_csv(matrix, args.matrix_out)
         indices = selection.prune(matrix, args.threshold)
@@ -177,16 +171,16 @@ def _read_selection(path: str) -> list[int]:
 
 
 def _cmd_train(args) -> int:
-    dataset, reference_date = ingest.read_features(args.infile)
+    table = ingest.read_features(args.infile)
     indices = _read_selection(args.selection)
     models = tuple(m.strip() for m in args.models.split(",") if m.strip())
-    train_ds, test_ds = evaluation.split_dataset(
-        dataset, train_fraction=args.split, seed=args.seed,
+    train_idx, test_idx = evaluation.split_indices(
+        table.y, train_fraction=args.split, seed=args.seed,
         stratified=not args.no_stratify,
     )
-    x17, y = train_ds.feature_matrix()
+    train = table.take(train_idx)
     model = learn.train_ensemble(
-        x17, y, indices, models=models, seed=args.seed,
+        train.x, train.y, indices, models=models, seed=args.seed,
         n_trees=args.trees, max_depth=args.max_depth, min_leaf=args.min_leaf,
         knn_k=args.knn_k, l2=args.l2, lr_rate=args.lr_rate,
         lr_epochs=args.lr_epochs,
@@ -194,10 +188,10 @@ def _cmd_train(args) -> int:
     with open(args.out, "wb") as fh:
         fh.write(learn.serialize_model(model))
     if args.test_out:
-        ingest.write_features(test_ds, args.test_out, reference_date)
+        ingest.write_features(table.take(test_idx), args.test_out)
     _emit({
-        "train_rows": len(train_ds),
-        "test_rows": len(test_ds),
+        "train_rows": len(train_idx),
+        "test_rows": len(test_idx),
         "models": list(models),
         "seed": args.seed,
         "selected_features": [FEATURE_NAMES[i] for i in indices],
@@ -214,9 +208,8 @@ def _load_model(path: str) -> learn.EnsembleModel:
 
 def _cmd_evaluate(args) -> int:
     model = _load_model(args.model)
-    dataset, _ = ingest.read_features(args.infile)
-    x17, y = dataset.feature_matrix()
-    reports = evaluation.full_report(model, x17, y)
+    table = ingest.read_features(args.infile)
+    reports = evaluation.full_report(model, table.x, table.y)
     if args.out:
         evaluation.write_report_json(reports, args.out)
     if args.table:
@@ -224,7 +217,7 @@ def _cmd_evaluate(args) -> int:
     if args.roc:
         evaluation.write_roc_csv(reports[-1].roc_points, args.roc)
     _emit({
-        "rows": len(dataset),
+        "rows": len(table),
         "reports": [
             {"classifier": r.classifier_name, "acc": r.acc, "fpr": r.fpr,
              "fnr": r.fnr, "auc": r.auc}
@@ -242,8 +235,7 @@ def _cmd_predict(args) -> int:
     else:
         feed = ingest.load_feed(ingest.FeedSpec(path=args.infile, label=0, source="predict"))
         domains = [row.domain for row in feed.rows]
-    features = _extract_features(domains, args.cache, reference_date)
-    x17 = np.array([f.to_row() for f in features], dtype=float).reshape(-1, len(FEATURE_NAMES))
+    x17 = _extract_features(domains, args.cache, reference_date)
     labels, scores = learn.ensemble_scores(model, x17)
     for domain, label, score in zip(domains, labels.tolist(), scores.tolist()):
         print(json.dumps({"domain": domain.raw, "label": label, "score": score},

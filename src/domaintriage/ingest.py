@@ -16,17 +16,21 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import itertools
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from domaintriage.model import (
     DatasetRow,
-    Domain,
     DomainTriageError,
-    FeatureVector,
     LabeledDataset,
     FEATURE_NAMES,
+    normalize_domain,
     parse_domain,
 )
 
@@ -44,6 +48,22 @@ FEATURES_HEADER = ("domain", "label") + FEATURE_NAMES
 
 # feed columns accepted as the first-seen date, in preference order
 _DATE_COLUMNS = ("first_seen", "date", "dateadded", "listingdate")
+
+# features CSV columns: f1..f3 may be blank (no WHOIS data), f5 and f10
+# are fractions, every other feature is an integer
+_BLANK_OK = np.array([name in ("f1", "f2", "f3") for name in FEATURE_NAMES])
+_FRACTIONAL = np.array([name in ("f5", "f10") for name in FEATURE_NAMES])
+
+
+@contextmanager
+def _readable(path):
+    """Turn a CSV the ``csv`` module or the UTF-8 decoder cannot read
+    (a field over ``csv.field_size_limit()``, bytes that are not UTF-8)
+    into a :class:`SchemaMismatch` naming ``path``."""
+    try:
+        yield
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise SchemaMismatch(f"{path}: unreadable CSV: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -92,7 +112,7 @@ def load_feed(spec: FeedSpec) -> LoadedFeed:
     are ignored outright.
     """
     path = Path(spec.path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _readable(path), open(path, newline="", encoding="utf-8") as fh:
         raw_rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
     if not raw_rows:
         raise SchemaMismatch(f"{path}: feed is empty")
@@ -202,7 +222,7 @@ def write_dataset(dataset: LabeledDataset, path: str) -> None:
 
 def read_dataset(path: str) -> LabeledDataset:
     """Read a canonical dataset CSV back; inverse of :func:`write_dataset`."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _readable(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -233,83 +253,172 @@ def read_dataset(path: str) -> LabeledDataset:
     return LabeledDataset(rows=rows)
 
 
-def _format_cell(value: float | None) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+@dataclass(frozen=True)
+class FeatureTable:
+    """The features CSV in memory, one numeric table.
+
+    ``x`` is the (n, 17) float array of f1..f17 with NaN for a blank
+    f1..f3 cell, ``y`` the int label vector, and ``domains`` the n
+    normalized names, in file order.
+    """
+
+    domains: list[str]
+    x: np.ndarray
+    y: np.ndarray
+    reference_date: dt.date | None = None
+
+    def __len__(self) -> int:
+        return len(self.domains)
+
+    def take(self, idx) -> "FeatureTable":
+        """The rows at ``idx``, in that order."""
+        idx = np.asarray(idx, dtype=int)
+        return FeatureTable([self.domains[i] for i in idx.tolist()], self.x[idx],
+                            self.y[idx], self.reference_date)
+
+    @classmethod
+    def from_dataset(cls, dataset: LabeledDataset,
+                     reference_date: dt.date | None = None) -> "FeatureTable":
+        """The table of a dataset whose rows all carry features."""
+        x, y = dataset.feature_matrix()
+        return cls([row.domain.raw for row in dataset.rows], x, y, reference_date)
 
 
-def write_features(
-    dataset: LabeledDataset, path: str, reference_date: dt.date | None = None
-) -> None:
+def _bad_cell(x: np.ndarray, blank: np.ndarray) -> tuple[int, int, str] | None:
+    """The first (row, column, reason) of ``x`` outside a blank cell
+    that is not finite, or not an integer in an integer column."""
+    with np.errstate(invalid="ignore"):
+        ok = blank | (np.isfinite(x) & (_FRACTIONAL | (x == np.trunc(x))))
+    rows, cols = np.nonzero(~ok)
+    if not len(rows):
+        return None
+    i, j = int(rows[0]), int(cols[0])
+    return i, j, "is not finite" if not math.isfinite(x[i, j]) else "is not an integer"
+
+
+def write_features(table: FeatureTable | LabeledDataset, path: str,
+                   reference_date: dt.date | None = None) -> None:
     """Write the feature CSV: ``domain,label,f1..f17`` with empty cells
-    for absent values, preceded by a comment noting the reference date
-    the day-count features were computed against."""
+    for blank f1..f3, preceded by a comment noting the reference date
+    the day-count features were computed against (``reference_date``,
+    else the table's; none when both are ``None``).
+
+    Integer features are written as integers and f5, f10 with ``repr``,
+    so :func:`read_features` gives back the same table bit for bit.  A
+    :class:`LabeledDataset` is written as its :meth:`FeatureTable.from_dataset`.
+    """
+    if isinstance(table, LabeledDataset):
+        table = FeatureTable.from_dataset(table)
+    reference_date = reference_date or table.reference_date
+    x = table.x
+    if x.shape != (len(table), len(FEATURE_NAMES)) or table.y.shape != (len(table),):
+        raise ValueError(f"{len(table)} domains need a ({len(table)}, {len(FEATURE_NAMES)}) "
+                         f"feature array and {len(table)} labels, "
+                         f"got {x.shape} and {table.y.shape}")
+    if not np.isin(table.y, (0, 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    blank = np.isnan(x) & _BLANK_OK
+    bad = _bad_cell(x, blank)
+    if bad is not None:
+        i, j, reason = bad
+        raise ValueError(f"{table.domains[i]}: {FEATURE_NAMES[j]} {reason} ({x[i, j]!r})")
+    columns = []
+    for j, fractional in enumerate(_FRACTIONAL):
+        values = x[:, j].tolist()
+        if fractional:
+            columns.append(list(map(repr, values)))
+        elif blank[:, j].any():
+            columns.append(["" if v != v else str(int(v)) for v in values])
+        else:
+            columns.append(list(map(str, map(int, values))))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if reference_date is not None:
             fh.write(f"# reference_date={reference_date.isoformat()}\n")
         writer = csv.writer(fh)
         writer.writerow(FEATURES_HEADER)
-        for row in dataset.rows:
-            if row.features is None:
-                raise ValueError(f"{row.domain.raw} has no features")
-            writer.writerow(
-                [row.domain.raw, row.label]
-                + [_format_cell(v) for v in row.features.to_row()]
-            )
+        writer.writerows(zip(table.domains, table.y.tolist(), *columns))
 
 
-def read_features(path: str) -> tuple[LabeledDataset, dt.date | None]:
-    """Read a feature CSV; returns the dataset and the reference date
-    recorded in its comment header (``None`` when absent)."""
-    reference_date = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = []
-        for line in fh:
-            if line.startswith("#"):
-                text = line[1:].strip()
-                if text.startswith("reference_date="):
-                    reference_date = _parse_date(text.split("=", 1)[1])
-                continue
-            lines.append(line)
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaMismatch(f"{path}: file is empty") from None
-    if tuple(c.strip().lower() for c in header) != FEATURES_HEADER:
-        raise SchemaMismatch(f"{path}: unexpected feature header")
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or not any(c.strip() for c in row):
+def _cells_with_blanks(path, lineno: int, row: list[str]) -> tuple[list[float], list[int]]:
+    """f1..f17 of a row that has a cell ``float`` rejects: the values,
+    NaN for a blank cell, and the columns that were blank."""
+    values, blank = [], []
+    for j, cell in enumerate(row[2:]):
+        cell = cell.strip()
+        if not cell:
+            if not _BLANK_OK[j]:
+                raise SchemaMismatch(
+                    f"{path}:{lineno}: only f1..f3 may be blank, {FEATURE_NAMES[j]} is not"
+                )
+            values.append(math.nan)
+            blank.append(j)
             continue
-        if len(row) != len(FEATURES_HEADER):
-            raise SchemaMismatch(f"{path}:{lineno}: expected {len(FEATURES_HEADER)} columns")
-        if row[1] not in ("0", "1"):
-            raise SchemaMismatch(f"{path}:{lineno}: label must be 0 or 1, got {row[1]!r}")
-        values: list[float | None] = []
-        for pos, cell in enumerate(row[2:]):
-            cell = cell.strip()
-            if not cell:
-                if pos > 2:
-                    raise SchemaMismatch(
-                        f"{path}:{lineno}: only f1..f3 may be blank, {FEATURES_HEADER[pos + 2]} is not"
-                    )
-                values.append(None)
-            else:
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise SchemaMismatch(f"{path}:{lineno}: bad number {cell!r}") from None
         try:
-            domain = parse_domain(row[0])
-        except DomainTriageError as exc:
-            raise SchemaMismatch(f"{path}:{lineno}: bad domain {row[0]!r}") from exc
-        rows.append(DatasetRow(
-            domain=domain,
-            label=int(row[1]),
-            features=FeatureVector.from_row(values),
-        ))
-    return LabeledDataset(rows=rows), reference_date
+            values.append(float(cell))
+        except ValueError:
+            raise SchemaMismatch(f"{path}:{lineno}: bad number {cell!r}") from None
+    return values, blank
+
+
+def read_features(path: str) -> FeatureTable:
+    """Read a feature CSV into one :class:`FeatureTable`; its
+    ``reference_date`` is the one recorded in the comment header
+    (``None`` when absent).
+
+    Lines starting with ``#`` before the header are comments (so a row
+    whose domain starts with ``#`` is still a row), and blank rows are
+    skipped.  Every other row needs a domain that :func:`parse_domain`
+    accepts, a 0/1 label and 17 finite numbers, integers except f5 and
+    f10; only f1..f3 may be blank.  Any breach raises
+    :class:`SchemaMismatch` naming ``path:lineno``.
+    """
+    reference_date = None
+    width = len(FEATURES_HEADER)
+    domains, labels, values, row_lines, blank_cells = [], [], [], [], []
+    with _readable(path), open(path, newline="", encoding="utf-8") as fh:
+        comments = 0
+        line = fh.readline()
+        while line.startswith("#"):
+            text = line[1:].strip()
+            if text.startswith("reference_date="):
+                reference_date = _parse_date(text.split("=", 1)[1])
+            comments += 1
+            line = fh.readline()
+        if not line:
+            raise SchemaMismatch(f"{path}: file is empty")
+        reader = csv.reader(itertools.chain([line], fh))
+        header = next(reader)
+        if tuple(c.strip().lower() for c in header) != FEATURES_HEADER:
+            raise SchemaMismatch(f"{path}: unexpected feature header")
+        for row in reader:
+            lineno = comments + reader.line_num
+            if len(row) != width or row[1] not in ("0", "1"):
+                if not any(c.strip() for c in row):
+                    continue
+                if len(row) != width:
+                    raise SchemaMismatch(f"{path}:{lineno}: expected {width} columns")
+                raise SchemaMismatch(f"{path}:{lineno}: label must be 0 or 1, got {row[1]!r}")
+            start = len(values)
+            try:
+                values.extend(map(float, row[2:]))
+            except ValueError:
+                del values[start:]
+                cells, blank = _cells_with_blanks(path, lineno, row)
+                values.extend(cells)
+                blank_cells.extend((len(domains), j) for j in blank)
+            try:
+                domains.append(normalize_domain(row[0]))
+            except DomainTriageError as exc:
+                raise SchemaMismatch(f"{path}:{lineno}: bad domain {row[0]!r}") from exc
+            labels.append(row[1] == "1")
+            row_lines.append(lineno)
+    x = np.array(values, dtype=float).reshape(-1, len(FEATURE_NAMES))
+    x[:, ~_FRACTIONAL] += 0.0  # an integer cell "-0" reads as 0, not -0.0
+    blank = np.zeros(x.shape, dtype=bool)
+    if blank_cells:
+        blank[tuple(np.array(blank_cells).T)] = True
+    bad = _bad_cell(x, blank)
+    if bad is not None:
+        i, j, reason = bad
+        raise SchemaMismatch(f"{path}:{row_lines[i]}: {FEATURE_NAMES[j]} {reason} ({x[i, j]!r})")
+    return FeatureTable(domains, x, np.array(labels, dtype=int), reference_date)

@@ -674,12 +674,16 @@ def knn_scores(train_x, train_y, queries, k: int = 5) -> np.ndarray:
             approx *= -2.0
             approx += qq[:, None]
             approx += xx
-            kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+            # copies, so no view keeps a block-sized buffer alive into the
+            # next block's matmul
+            kth = np.partition(approx, k - 1, axis=1)[:, k - 1].copy()
             limit = kth + 4 * (p + 3) * (np.finfo(float).eps * (qq + xx_max)
                                          + np.finfo(float).smallest_subnormal)
             keep = approx <= limit[:, None]
+            del approx
             keep[~np.isfinite(limit)] = True
             qi, ri = np.nonzero(keep)
+            del keep
             exact = ((q[qi] - train_x[ri]) ** 2).sum(axis=-1)
             order = np.lexsort((ri, exact, qi))
             # candidates come grouped by query; a group's first k are its nearest

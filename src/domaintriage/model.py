@@ -9,6 +9,7 @@ any URL scheme and path stripped.  Labels are integers throughout:
 from __future__ import annotations
 
 import datetime as dt
+import re
 from dataclasses import dataclass, field
 
 
@@ -26,16 +27,17 @@ class IllegalCharacter(DomainTriageError):
 
 _SCHEMES = ("http://", "https://")
 
+# whitespace (``str.isspace``), C0 controls and DEL
+_illegal_char = re.compile(r"[\s\x00-\x1f\x7f]").search
 
-def parse_domain(raw: str) -> "Domain":
-    """Normalize ``raw`` into a :class:`Domain`.
+
+def normalize_domain(raw: str) -> str:
+    """The normalized name :func:`parse_domain` returns as ``Domain.raw``.
 
     Normalization: surrounding whitespace is trimmed, the string is
     lowercased, a leading ``http://`` / ``https://`` is removed, and
-    anything from the first ``/`` onward is dropped.  The remainder is
-    split at its *last* dot into label part and TLD; a dotless name
-    (``localhost``) keeps everything in the label part and gets an
-    empty TLD.  Parsing an already-parsed ``Domain.raw`` is a no-op.
+    anything from the first ``/`` onward is dropped.  What is left must
+    be non-empty and free of whitespace and control characters.
     """
     text = raw.strip()
     if not text:
@@ -50,9 +52,21 @@ def parse_domain(raw: str) -> "Domain":
         text = text[:slash]
     if not text:
         raise EmptyInput(f"nothing left of {raw!r} after stripping scheme and path")
-    for ch in text:
-        if ch.isspace() or ord(ch) < 0x20 or ord(ch) == 0x7F:
-            raise IllegalCharacter(f"illegal character {ch!r} in {raw!r}")
+    bad = _illegal_char(text)
+    if bad:
+        raise IllegalCharacter(f"illegal character {bad.group()!r} in {raw!r}")
+    return text
+
+
+def parse_domain(raw: str) -> "Domain":
+    """Normalize ``raw`` (see :func:`normalize_domain`) into a :class:`Domain`.
+
+    The normalized name is split at its *last* dot into label part and
+    TLD; a dotless name (``localhost``) keeps everything in the label
+    part and gets an empty TLD.  Parsing an already-parsed
+    ``Domain.raw`` is a no-op.
+    """
+    text = normalize_domain(raw)
     dot = text.rfind(".")
     if dot == -1:
         return Domain(raw=text, label_part=text, tld="")
@@ -153,31 +167,6 @@ class FeatureVector:
             self.f16_reg_not_popular,
             self.f17_reg_bad,
         ]
-
-    @classmethod
-    def from_row(cls, row: list[float | None]) -> "FeatureVector":
-        if len(row) != len(FEATURE_NAMES):
-            raise ValueError(f"expected {len(FEATURE_NAMES)} features, got {len(row)}")
-        f = list(row)
-        return cls(
-            f1_reg_age_days=None if f[0] is None else int(f[0]),
-            f2_expiry_days=None if f[1] is None else int(f[1]),
-            f3_update_age_days=None if f[2] is None else int(f[2]),
-            f4_dots=int(f[3]),
-            f5_entropy=float(f[4]),
-            f6_length=int(f[5]),
-            f7_digits=int(f[6]),
-            f8_hyphens=int(f[7]),
-            f9_vowels=int(f[8]),
-            f10_digit_pct=float(f[9]),
-            f11_unique_alnum=int(f[10]),
-            f12_tld_generic=int(f[11]),
-            f13_tld_unknown=int(f[12]),
-            f14_tld_abused=int(f[13]),
-            f15_reg_popular=int(f[14]),
-            f16_reg_not_popular=int(f[15]),
-            f17_reg_bad=int(f[16]),
-        )
 
 
 @dataclass(frozen=True)

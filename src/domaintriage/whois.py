@@ -345,6 +345,8 @@ def _parse_whois_date(text: str) -> dt.date | None:
         return parsed.date()
     except ValueError:
         pass
+    except OverflowError:  # the UTC instant is outside datetime's range
+        return None
     # strptime judges every format tried.  A format is skipped only when
     # it cannot match (no candidate starts with a space), and so is a
     # candidate equal to an earlier one, which failed.  Each miss costs

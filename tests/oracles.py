@@ -89,6 +89,8 @@ def whois_date_every_format(text: str):
         return parsed.date()
     except ValueError:
         pass
+    except OverflowError:  # the UTC instant is outside datetime's range
+        return None
     for candidate in (text, text.split()[0], text.split()[0].title()):
         for fmt in WHOIS_DATE_FORMATS:
             try:

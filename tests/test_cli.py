@@ -290,6 +290,28 @@ def test_predict_rejects_cache_line_that_is_not_utf8(pipeline, capsys, tmp_path)
     assert f"error: {cache_path}:2: bad cache line" in capsys.readouterr().err
 
 
+def test_out_of_range_whois_date_in_cache(pipeline, capsys, tmp_path):
+    sel, model = str(tmp_path / "sel.json"), str(tmp_path / "m.json")
+    assert main(["select", "--in", pipeline["features"], "--out", sel]) == 0
+    assert main(["train", "--in", pipeline["features"], "--selection", sel,
+                 "--trees", "3", "--out", model]) == 0
+    capsys.readouterr()
+    cache_path = str(tmp_path / "cache.jsonl")
+    cache = WhoisCache(cache_path)
+    cache.put("covid-masks-sale.buzz", "Creation Date: 0001-01-01T00:00:00+01:00\n"
+              "Registry Expiry Date: 9999-12-31T23:59:59-01:00\n", dt.date(2020, 5, 16))
+    out = str(tmp_path / "fx.csv")
+    code, (summary,) = _run(capsys, "extract", "--in", pipeline["dataset"],
+                            "--cache", cache_path, "--reference-date", REF, "--out", out)
+    assert code == 0
+    assert summary["whois_present"] == 0
+    code, (line,) = _run(capsys, "predict", "--model", model, "--domain",
+                         "covid-masks-sale.buzz", "--cache", cache_path,
+                         "--reference-date", REF)
+    assert code == 0
+    assert line["domain"] == "covid-masks-sale.buzz"
+
+
 def test_segment_command(capsys):
     code, (out,) = _run(capsys, "segment", "--word", "coronaviruspreventionsanantonio")
     assert code == 0

@@ -1,9 +1,11 @@
 import datetime as dt
 import math
+import re
 
 import numpy as np
 import pytest
 
+from domaintriage.ingest import read_features, write_features
 from domaintriage.model import (
     FEATURE_NAMES,
     DatasetRow,
@@ -13,6 +15,7 @@ from domaintriage.model import (
     IllegalCharacter,
     LabeledDataset,
     WhoisRecord,
+    _illegal_char,
     parse_domain,
 )
 
@@ -128,20 +131,20 @@ def _vector(**overrides):
     return FeatureVector(**base)
 
 
-def test_feature_vector_row_round_trip():
+def test_feature_vector_row_round_trip(tmp_path):
     fv = _vector()
     row = fv.to_row()
     assert len(row) == 17
-    assert FeatureVector.from_row(row) == fv
     fv2 = _vector(f1_reg_age_days=None, f2_expiry_days=None, f3_update_age_days=None)
     row2 = fv2.to_row()
     assert row2[:3] == [None, None, None]
-    assert FeatureVector.from_row(row2) == fv2
-
-
-def test_feature_vector_from_row_length_check():
-    with pytest.raises(ValueError):
-        FeatureVector.from_row([0.0] * 16)
+    d = parse_domain("x.com")
+    path = str(tmp_path / "f.csv")
+    write_features(LabeledDataset(rows=[DatasetRow(domain=d, label=1, features=fv),
+                                        DatasetRow(domain=d, label=0, features=fv2)]), path)
+    x = read_features(path).x
+    assert x[0].tolist() == row
+    assert np.isnan(x[1, :3]).all() and x[1, 3:].tolist() == row2[3:]
 
 
 def test_feature_matrix_shapes_and_nan():
@@ -164,3 +167,13 @@ def test_feature_matrix_requires_features():
     ds = LabeledDataset(rows=[DatasetRow(domain=parse_domain("x.com"), label=0)])
     with pytest.raises(ValueError):
         ds.feature_matrix()
+
+
+def test_illegal_character_check_equals_the_per_character_rule():
+    # the rule parse_domain applied character by character before it
+    # used one regular expression, on every code point
+    every = "".join(map(chr, range(0x110000)))
+    old = [ch for ch in every if ch.isspace() or ord(ch) < 0x20 or ord(ch) == 0x7F]
+    new = [ch for ch in every if _illegal_char(ch)]
+    assert new == old
+    assert "".join(old) == "".join(re.findall(_illegal_char.__self__, every))

@@ -517,6 +517,28 @@ def test_parse_whois_date_benchmark_layouts(text, want):
     assert whois_date_every_format(text) == want
 
 
+@pytest.mark.parametrize("text", [
+    "0001-01-01T00:00:00+01:00",
+    "9999-12-31T23:59:59-01:00",
+])
+def test_parse_whois_date_out_of_range_instant_is_absent(text):
+    # the UTC instant falls outside datetime's range: unparseable, not a crash
+    assert _parse_whois_date(text) is None
+    assert whois_date_every_format(text) is None
+    rec = parse_whois(f"Creation Date: {text}\nRegistry Expiry Date: {text}\n"
+                      "Updated Date: 2020-01-02\n", parse_domain("x.com"), TODAY)
+    assert rec.created is None and rec.expires is None
+    assert rec.updated == dt.date(2020, 1, 2)
+
+
+def test_fetch_or_cache_out_of_range_date(tmp_path, stub):
+    stub.responses["old.com"] = "Creation Date: 0001-01-01T00:00:00+01:00\r\n"
+    cache = WhoisCache(str(tmp_path / "c.jsonl"))
+    rec = fetch_or_cache(parse_domain("old.com"), cache, _client(stub), fetched_on=TODAY)
+    assert rec.created is None
+    assert WhoisCache(str(tmp_path / "c.jsonl")).get("old.com") is not None
+
+
 def test_parse_whois_paid_till_layout():
     raw = ("% TCI Whois Service. Terms of use:\r\n"
            "domain:        THING.RU\r\n"
