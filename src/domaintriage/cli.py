@@ -18,7 +18,9 @@ import sys
 import numpy as np
 
 from domaintriage import evaluation, ingest, learn, selection, whois
-from domaintriage.features import extract_all
+from domaintriage.atomic import atomic_write
+# extract_all is not called here; perfbench/run.py traces it by this name
+from domaintriage.features import extract_all, extract_matrix  # noqa: F401
 from domaintriage.model import (
     FEATURE_NAMES,
     DomainTriageError,
@@ -97,17 +99,16 @@ def _extract_features(domains, cache_path, reference_date) -> np.ndarray:
     """The (n, 17) feature array of the domains, NaN where a feature is
     absent, with WHOIS data from the cache at ``cache_path`` (if given)
     wherever it holds the domain."""
-    cache = whois.WhoisCache(cache_path) if cache_path else None
-    out = []
-    for domain in domains:
-        record = None
-        if cache is not None:
-            hit = cache.get(domain.raw)
-            if hit is not None:
-                raw, cached_on = hit
-                record = whois.parse_whois(raw, domain, cached_on)
-        out.append(extract_all(domain, record, reference_date=reference_date).to_row())
-    return np.array(out, dtype=float).reshape(-1, len(FEATURE_NAMES))
+    def records(cache):
+        for domain in domains:
+            hit = cache.get(domain.raw) if cache is not None else None
+            # looked up on the module each call, so that a tracer's hook sees it
+            yield None if hit is None else whois.parse_whois(hit[0], domain, hit[1])
+
+    # the generator holds the only reference to the cache, so the cache
+    # is freed once extract_matrix has read every record
+    return extract_matrix(
+        domains, records(whois.WhoisCache(cache_path) if cache_path else None), reference_date)
 
 
 def _cmd_extract(args) -> int:
@@ -151,7 +152,7 @@ def _cmd_select(args) -> int:
         "method": method,
         "threshold": threshold,
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with atomic_write(args.out, encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     _emit(payload)
@@ -161,10 +162,11 @@ def _cmd_select(args) -> int:
 def _read_selection(path: str) -> list[int]:
     with open(path, encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
-            indices = [int(i) for i in payload["indices"]]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            indices = list(json.load(fh)["indices"])
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ingest.SchemaMismatch(f"{path}: bad selection file: {exc}") from exc
+    if not all(type(i) is int for i in indices):
+        raise ingest.SchemaMismatch(f"{path}: selection indices must be JSON integers")
     if not indices or any(i < 0 or i >= len(FEATURE_NAMES) for i in indices):
         raise ingest.SchemaMismatch(f"{path}: selection indices out of range")
     return indices
@@ -185,7 +187,7 @@ def _cmd_train(args) -> int:
         knn_k=args.knn_k, l2=args.l2, lr_rate=args.lr_rate,
         lr_epochs=args.lr_epochs,
     )
-    with open(args.out, "wb") as fh:
+    with atomic_write(args.out, "wb") as fh:
         fh.write(learn.serialize_model(model))
     if args.test_out:
         ingest.write_features(table.take(test_idx), args.test_out)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from domaintriage.atomic import atomic_write
 from domaintriage.learn import EnsembleModel, combine_votes, votes
 from domaintriage.model import DatasetRow, DomainTriageError, LabeledDataset
 from domaintriage.selection import LengthMismatch
@@ -222,14 +223,14 @@ def full_report(model: EnsembleModel, x17, y) -> list[EvalReport]:
 
 
 def write_report_json(reports: list[EvalReport], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         json.dump({"reports": [r.to_dict() for r in reports]}, fh, indent=2)
         fh.write("\n")
 
 
 def write_report_csv(reports: list[EvalReport], path: str) -> None:
     """Summary table: classifier, ACC, FPR, FNR, AUC."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["classifier", "acc", "fpr", "fnr", "auc"])
         for r in reports:
@@ -243,7 +244,7 @@ def write_report_csv(reports: list[EvalReport], path: str) -> None:
 
 
 def write_roc_csv(points: list[tuple[float, float]], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["fpr", "tpr"])
         for fpr, tpr in points:

@@ -25,6 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
+from domaintriage.atomic import atomic_write
 from domaintriage.model import (
     DatasetRow,
     DomainTriageError,
@@ -208,7 +209,7 @@ def filter_by_date(
 
 def write_dataset(dataset: LabeledDataset, path: str) -> None:
     """Write the canonical ``domain,label,source,first_seen`` CSV."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(DATASET_HEADER)
         for row in dataset.rows:
@@ -331,7 +332,7 @@ def write_features(table: FeatureTable | LabeledDataset, path: str,
             columns.append(["" if v != v else str(int(v)) for v in values])
         else:
             columns.append(list(map(str, map(int, values))))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="", encoding="utf-8") as fh:
         if reference_date is not None:
             fh.write(f"# reference_date={reference_date.isoformat()}\n")
         writer = csv.writer(fh)

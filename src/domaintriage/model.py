@@ -146,6 +146,13 @@ class FeatureVector:
     f16_reg_not_popular: int
     f17_reg_bad: int
 
+    @classmethod
+    def from_row(cls, row: list[float]) -> "FeatureVector":
+        """The vector of 17 floats in f1..f17 order, NaN marking an absent
+        f1..f3: the inverse of a row of ``LabeledDataset.feature_matrix``."""
+        return cls(*(v if j in (4, 9) else None if v != v else int(v)
+                     for j, v in enumerate(row)))
+
     def to_row(self) -> list[float | None]:
         """Return the features as a 17-element list in f1..f17 order."""
         return [

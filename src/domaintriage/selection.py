@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from domaintriage.atomic import atomic_write
 from domaintriage.model import DomainTriageError
 
 
@@ -139,7 +140,7 @@ def write_matrix_csv(matrix: CorrelationMatrix, path: str) -> None:
     """Export the matrix for external heat-map plotting; undefined
     cells are left empty."""
     names = [f"f{i + 1}" for i in matrix.feature_ids]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([""] + names)
         for name, row in zip(names, matrix.values):

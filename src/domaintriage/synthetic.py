@@ -21,9 +21,16 @@ from domaintriage.features import (
     canonicalize_registrar,
     default_registrar_lists,
     default_tld_lists,
-    extract_all,
+    extract_matrix,
 )
-from domaintriage.model import DatasetRow, LabeledDataset, WhoisRecord, parse_domain
+from domaintriage.model import (
+    DatasetRow,
+    Domain,
+    FeatureVector,
+    LabeledDataset,
+    WhoisRecord,
+    parse_domain,
+)
 from domaintriage.segment import LanguageModel
 
 DEFAULT_SEED = 20200516
@@ -107,7 +114,7 @@ def make_benchmark(
 
     rng = np.random.default_rng(seed)
     n_malicious = round(n_rows * malicious_fraction)
-    rows: list[DatasetRow] = []
+    labeled: list[tuple[Domain, int, WhoisRecord]] = []
     taken: set[str] = set()
 
     for i in range(n_rows):
@@ -167,8 +174,12 @@ def make_benchmark(
                 if registrar is not None else None
             ),
         )
-        features = extract_all(domain, record, tld_lists, registrar_lists, reference_date)
-        rows.append(DatasetRow(domain=domain, label=label, source="synthetic",
-                               features=features))
+        labeled.append((domain, label, record))
 
-    return LabeledDataset(rows=rows)
+    domains, labels, records = zip(*labeled) if labeled else ((), (), ())
+    x = extract_matrix(domains, records, reference_date, tld_lists, registrar_lists)
+    return LabeledDataset(rows=[
+        DatasetRow(domain=domain, label=label, source="synthetic",
+                   features=FeatureVector.from_row(row))
+        for domain, label, row in zip(domains, labels, x.tolist())
+    ])

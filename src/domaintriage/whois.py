@@ -17,6 +17,7 @@ import socket
 import sys
 import threading
 import time
+from functools import lru_cache
 
 from domaintriage.features import RegistrarLists, canonicalize_registrar
 from domaintriage.model import Domain, DomainTriageError, WhoisRecord
@@ -332,6 +333,62 @@ def _needs(fmt: str) -> tuple[str, int, frozenset[str], bool]:
 
 _DATE_NEEDS = tuple(_needs(fmt) for fmt in _DATE_FORMATS)
 
+# the C locale's month abbreviations, the names %b takes: Python never
+# sets LC_TIME, so strptime matches these
+_MONTHS = {name: number for number, name in enumerate(
+    ("jan", "feb", "mar", "apr", "may", "jun", "jul", "aug", "sep", "oct", "nov", "dec"),
+    start=1)}
+
+# each directive of _DATE_FORMATS as the group _strptime.TimeRE writes
+# for it; \d takes any Unicode decimal digit, as int() does
+_DIRECTIVES = {
+    "Y": r"(?P<Y>\d\d\d\d)",
+    "m": r"(?P<m>1[0-2]|0[1-9]|[1-9])",
+    "d": r"(?P<d>3[0-1]|[1-2]\d|0[1-9]|[1-9]| [1-9])",
+    "b": "(?P<b>" + "|".join(_MONTHS) + ")",
+    "H": r"(?P<H>2[0-3]|[0-1]\d|\d)",
+    "M": r"(?P<M>[0-5]\d|\d)",
+    "S": r"(?P<S>6[0-1]|[0-5]\d|\d)",
+}
+
+
+def _strptime_pattern(fmt: str) -> str:
+    """The regular expression ``strptime`` matches ``fmt`` with: regex
+    characters escaped, each run of whitespace as ``\\s+``, and each
+    directive as its group."""
+    escaped = re.sub(r"\s+", r"\\s+", re.sub(r"([\\.^$*+?\(\){}\[\]|])", r"\\\1", fmt))
+    return re.sub("%(.)", lambda m: _DIRECTIVES[m.group(1)], escaped)
+
+
+@lru_cache(maxsize=len(_DATE_FORMATS))
+def _date_regex(fmt: str) -> re.Pattern:
+    # compiled on first use, so that importing the module stays cheap
+    return re.compile(_strptime_pattern(fmt), re.IGNORECASE)
+
+
+def _strptime_date(text: str, fmt: str) -> dt.date | None:
+    """``dt.datetime.strptime(text, fmt).date()`` for a format of
+    ``_DATE_FORMATS``, or None where that raises ``ValueError``.
+
+    As in ``strptime``, the match starts at the first character and must
+    end at the last, and each field is read with ``int()``.  A month
+    name is looked up lower-cased, so "ſep", which the pattern matches
+    under IGNORECASE, is no month.  ``datetime`` rejects seconds 60 and
+    61, which the pattern admits, and ``dt.date`` rejects a day the
+    month does not have.
+    """
+    found = _date_regex(fmt).match(text)
+    if found is None or found.end() != len(text):
+        return None
+    fields = found.groupdict()
+    month = _MONTHS.get(fields["b"].lower()) if "b" in fields else int(fields["m"])
+    if month is None or int(fields.get("S") or 0) > 59:
+        return None
+    try:
+        return dt.date(int(fields["Y"]), month, int(fields["d"]))
+    except ValueError:
+        return None
+
 
 def _parse_whois_date(text: str) -> dt.date | None:
     text = text.strip()
@@ -347,11 +404,9 @@ def _parse_whois_date(text: str) -> dt.date | None:
         pass
     except OverflowError:  # the UTC instant is outside datetime's range
         return None
-    # strptime judges every format tried.  A format is skipped only when
-    # it cannot match (no candidate starts with a space), and so is a
-    # candidate equal to an earlier one, which failed.  Each miss costs
-    # a raised ValueError, and trying more than five formats keeps
-    # clearing strptime's cache of compiled formats.
+    # _strptime_date judges every format tried.  A format is skipped
+    # only when it cannot match (no candidate starts with a space), and
+    # so is a candidate equal to an earlier one, which failed.
     first = text.split()[0]
     for candidate in dict.fromkeys((text, first, first.title())):
         chars = set(candidate.lower())
@@ -359,10 +414,9 @@ def _parse_whois_date(text: str) -> dt.date | None:
         for fmt, lead, literals, needs_space in _DATE_NEEDS:
             if (candidate[:lead].isdigit() and literals <= chars
                     and (spaced or not needs_space)):
-                try:
-                    return dt.datetime.strptime(candidate, fmt).date()
-                except ValueError:
-                    continue
+                parsed = _strptime_date(candidate, fmt)
+                if parsed is not None:
+                    return parsed
     return None
 
 
@@ -414,10 +468,15 @@ def parse_whois(
 
 # --- cache ---------------------------------------------------------------
 
+# what _cache_line raises for a bad line: RecursionError for JSON nested
+# deeper than the decoder's recursion limit
+_BAD_LINE = (KeyError, TypeError, ValueError, RecursionError)
+
+
 def _cache_line(line: bytes) -> tuple[str, tuple[str, dt.date]]:
     """The domain and its (raw, fetched_on) entry from one cache line;
-    a line that is not UTF-8 JSON of the documented shape raises
-    KeyError, TypeError or ValueError."""
+    a line that is not UTF-8 JSON of the documented shape raises one of
+    ``_BAD_LINE``."""
     obj = json.loads(line.decode("utf-8"))
     if not (isinstance(obj, dict) and isinstance(obj.get("domain"), str)
             and isinstance(obj.get("raw"), str)):
@@ -435,7 +494,7 @@ def _close_last_line(fh) -> bytes:
     start = data.rfind(b"\n") + 1
     try:
         _cache_line(data[start:])
-    except (KeyError, TypeError, ValueError):
+    except _BAD_LINE:
         fh.truncate(start)
         return b""
     return b"\n"
@@ -464,7 +523,7 @@ class WhoisCache:
                         continue
                     try:
                         domain, entry = _cache_line(line)
-                    except (KeyError, TypeError, ValueError) as exc:
+                    except _BAD_LINE as exc:
                         # only the last line can lack its newline
                         if not line.endswith(b"\n"):
                             print(f"warning: {path}:{lineno}: dropped a torn last line: {exc}",

@@ -7,6 +7,7 @@ behind the same bug in its test.
 
 import datetime as dt
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -107,6 +108,23 @@ def entropy_definitional(text: str) -> float:
     for ch in text:
         freq[ch] = freq.get(ch, 0) + 1
     return -math.fsum((c / n) * math.log2(c / n) for c in freq.values())
+
+
+def entropy_counter_sum(text: str) -> float:
+    """Entropy as the per-name formula writes it: the terms in
+    first-occurrence order, added left to right by ``sum``."""
+    n = len(text)
+    return -sum((c / n) * math.log2(c / n) for c in Counter(text).values())
+
+
+def lexical_per_name(raw: str) -> list[float]:
+    """f4..f11 of one name, each by its own formula: dots, entropy,
+    length, ASCII digits, hyphens, vowels, digit share, distinct
+    lower-case ASCII letters and digits."""
+    digits = sum("0" <= ch <= "9" for ch in raw)
+    return [raw.count("."), entropy_counter_sum(raw), len(raw), digits, raw.count("-"),
+            sum(ch in "aeiou" for ch in raw), digits / len(raw),
+            len({ch for ch in raw if ch in "abcdefghijklmnopqrstuvwxyz0123456789"})]
 
 
 def oracle_segment(chunk: str, model):

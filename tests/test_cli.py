@@ -404,3 +404,49 @@ def test_predict_batch_lines_equal_single_lines(pipeline, capsys, tmp_path):
                                line["domain"], "--cache", cache_path, "--reference-date", REF)
         assert code == 0
         assert single == line
+
+
+@pytest.mark.parametrize("text,why", [
+    ('{"indices": ' + "[" * 100_000 + "]" * 100_000 + "}", "bad selection file"),
+    ('{"indices": [1e400]}', "must be JSON integers"),
+    ('{"indices": [1.5]}', "must be JSON integers"),
+    ('{"indices": [true]}', "must be JSON integers"),
+    ('{"indices": [0, "1"]}', "must be JSON integers"),
+    ('{"indices": "12"}', "must be JSON integers"),
+    ('{"indices": 3}', "bad selection file"),
+    ('[0, 1]', "bad selection file"),
+    ('{"indices": []}', "out of range"),
+    ('{"indices": [17]}', "out of range"),
+], ids=["nested", "overflow", "fraction", "bool", "string", "string-list", "scalar",
+        "not-an-object", "empty", "past-the-end"])
+def test_train_rejects_bad_selection_file(pipeline, capsys, text, why):
+    sel = pipeline["tmp"] / "bad_selection.json"
+    sel.write_text(text, encoding="utf-8")
+    code = main(["train", "--in", pipeline["features"], "--selection", str(sel),
+                 "--out", str(pipeline["tmp"] / "never.json")])
+    assert code == 2
+    assert why in capsys.readouterr().err
+    assert not (pipeline["tmp"] / "never.json").exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "extract", "whois-fetch"])
+def test_cache_line_nested_too_deep_exits_1(pipeline, capsys, tmp_path, command):
+    cache = tmp_path / "deep.jsonl"
+    cache.write_bytes(b'{"domain": "a.com", "fetched_on": "2020-05-01", "raw": "ok"}\n'
+                      + b"[" * 200_000 + b"\n")
+    if command == "predict":
+        sel = tmp_path / "sel.json"
+        sel.write_text(json.dumps({"indices": [4, 5, 9]}))
+        model = str(tmp_path / "m.json")
+        assert main(["train", "--in", pipeline["features"], "--selection", str(sel),
+                     "--trees", "5", "--out", model]) == 0
+        argv = ["predict", "--model", model, "--domain", "a.com"]
+    elif command == "extract":
+        argv = ["extract", "--in", pipeline["dataset"], "--out", str(tmp_path / "f.csv")]
+    else:
+        argv = ["whois-fetch", "--in", pipeline["dataset"]]
+    capsys.readouterr()
+    assert main(argv + ["--cache", str(cache)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {cache}:2: bad cache line" in captured.err

@@ -1,9 +1,14 @@
 import datetime as dt
 import math
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from domaintriage import features
 from domaintriage.features import (
     RegistrarLists,
     TldLists,
@@ -11,6 +16,7 @@ from domaintriage.features import (
     default_registrar_lists,
     default_tld_lists,
     extract_all,
+    extract_matrix,
     lexical_features,
     registrar_features,
     shannon_entropy,
@@ -18,7 +24,7 @@ from domaintriage.features import (
     whois_age_features,
 )
 from domaintriage.model import EmptyInput, WhoisRecord, parse_domain
-from oracles import day_diff, entropy_definitional
+from oracles import day_diff, entropy_counter_sum, entropy_definitional, lexical_per_name
 
 REF = dt.date(2020, 5, 16)
 
@@ -236,3 +242,84 @@ def test_one_hot_groups_sum():
         fv = extract_all(parse_domain(raw), None, reference_date=REF)
         assert fv.f12_tld_generic + fv.f13_tld_unknown + fv.f14_tld_abused == 1
         assert fv.f15_reg_popular + fv.f16_reg_not_popular + fv.f17_reg_bad == 0
+
+
+# --- the columnar kernel ------------------------------------------------------
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def test_entropy_of_one_repeated_character_is_negative_zero():
+    assert math.copysign(1.0, shannon_entropy("aaaa")) == -1.0
+    assert _bits([shannon_entropy("x")]) == _bits([entropy_counter_sum("x")])
+
+
+# names the per-name formulas see as any other text: non-ASCII letters,
+# digits of other scripts, NUL and a lone surrogate among them
+_name = st.text(alphabet=st.one_of(st.sampled_from("abcdeiou0123456789.-"),
+                                   st.sampled_from("ÄéΩ٣\x00\ud800𝔸"),
+                                   st.characters()),
+                min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(names=st.lists(st.one_of(_name, st.builds(lambda ch, k: ch * k, _name, st.integers(1, 60))),
+                      min_size=1, max_size=30),
+       block=st.integers(1, 8))
+def test_kernel_equals_per_name_formulas_bit_for_bit(names, block):
+    # a block of at most ``block`` names, so most lists span several
+    with mock.patch.object(features, "_LEX_BLOCK", block):
+        got = features._lexical_matrix(names)
+    assert _bits(got) == _bits([lexical_per_name(name) for name in names])
+
+
+def test_kernel_equals_per_name_formulas_on_every_two_character_split():
+    # every share c/n with n <= 160: numpy's own log2 rounds some of them
+    # differently from math.log2
+    names = ["a" * c + "-" * (n - c) for n in range(1, 161) for c in range(1, n + 1)]
+    assert _bits(features._lexical_matrix(names)) == _bits([lexical_per_name(s) for s in names])
+
+
+def test_kernel_rejects_an_empty_name():
+    with pytest.raises(EmptyInput):
+        features._lexical_matrix(["a.com", ""])
+
+
+def test_extract_matrix_rows_equal_extract_all():
+    rng = random.Random(16)
+    domains = [parse_domain("".join(rng.choice("abcz019-") for _ in range(rng.randint(1, 20)))
+                            + rng.choice([".com", ".tk", ".io", ""]))
+               for _ in range(300)]
+    registrars = ["NameCheap, Inc.", "Dynadot LLC", "Tucows Domains Inc.", None]
+    records = [None if i % 4 == 0 else _record(
+        created=REF - dt.timedelta(days=rng.randint(-5, 900)),
+        expires=REF + dt.timedelta(days=rng.randint(-5, 900)),
+        updated=REF - dt.timedelta(days=rng.randint(-5, 50)),
+        registrar=registrars[i % 4], domain=d.raw) for i, d in enumerate(domains)]
+    x = extract_matrix(domains, iter(records), REF)
+    rows = [[math.nan if v is None else v for v in extract_all(d, r, reference_date=REF).to_row()]
+            for d, r in zip(domains, records)]
+    assert _bits(x) == _bits(rows)
+
+
+def test_extract_matrix_needs_one_record_per_domain():
+    domains = [parse_domain("a.com"), parse_domain("b.com")]
+    assert extract_matrix([], [], REF).shape == (0, 17)
+    for records in ([None], [None, None, None]):
+        with pytest.raises(ValueError, match="2 domains need 2 WHOIS records"):
+            extract_matrix(domains, records, REF)
+
+
+def test_registrar_lists_keep_a_read_only_copy_of_the_map():
+    mapping = {"go": "short", "godaddy": "godaddy"}
+    lists = RegistrarLists(popular=frozenset({"godaddy"}), bad=frozenset(), canonical_map=mapping)
+    mapping["godaddy"] = "changed"  # the lists keep their own copy
+    with pytest.raises(TypeError):
+        lists.canonical_map["go"] = "x"
+    assert lists == RegistrarLists(popular=frozenset({"godaddy"}), bad=frozenset(),
+                                   canonical_map={"go": "short", "godaddy": "godaddy"})
+    # the longer key wins, however often the same raw name comes back
+    for _ in range(3):
+        assert canonicalize_registrar("GoDaddy LLC", lists) == "godaddy"
+        assert canonicalize_registrar("go daddy", lists) == "short"

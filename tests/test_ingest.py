@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from domaintriage import ingest
+from domaintriage.atomic import atomic_write
 from domaintriage.cli import main
 from domaintriage.features import extract_all
 from domaintriage.ingest import (
@@ -503,3 +505,50 @@ def test_write_then_read_features_is_bit_exact(tmp_path, table):
     assert back.reference_date == table.reference_date
     assert back.x.shape == table.x.shape
     assert back.x.view(np.uint64).tolist() == table.x.view(np.uint64).tolist()
+
+
+# --- outputs replaced in one step -------------------------------------------
+
+def _surrogate_last():
+    # "\ud800" is a lone surrogate: parse_domain takes it, UTF-8 cannot
+    # encode it, so the write fails after the rows before it
+    rows = [_row(f"ok{i}.com", with_features=True) for i in range(500)]
+    return LabeledDataset(rows=rows + [_row("bad\ud800.com", with_features=True)])
+
+
+@pytest.mark.parametrize("write", [write_dataset, write_features],
+                         ids=["dataset", "features"])
+def test_failed_write_keeps_the_old_file(tmp_path, write):
+    path = tmp_path / "out.csv"
+    path.write_text("old contents\n", encoding="utf-8")
+    path.chmod(0o640)
+    with pytest.raises(UnicodeEncodeError):
+        write(_surrogate_last(), str(path))
+    assert path.read_text(encoding="utf-8") == "old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    # a write that succeeds replaces the file and keeps its permissions
+    write(LabeledDataset(rows=[_row("ok.com", with_features=True)]), str(path))
+    assert "ok.com" in path.read_text(encoding="utf-8")
+    assert path.stat().st_mode & 0o777 == 0o640
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_atomic_write_follows_symlinks_and_writes_devices_in_place(tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text("old", encoding="utf-8")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    with atomic_write(str(link), encoding="utf-8") as fh:
+        fh.write("new")
+    assert link.is_symlink() and target.read_text(encoding="utf-8") == "new"
+    with atomic_write(os.devnull, "wb") as fh:
+        fh.write(b"discarded")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+
+def test_atomic_write_into_a_missing_directory_names_the_path(tmp_path):
+    path = str(tmp_path / "no-such-dir" / "out.csv")
+    with pytest.raises(FileNotFoundError) as exc:
+        with atomic_write(path):
+            pass
+    assert exc.value.filename == path

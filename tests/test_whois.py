@@ -6,10 +6,10 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from domaintriage.model import DomainTriageError, parse_domain
+from domaintriage.model import DomainTriageError, WhoisRecord, parse_domain
 from domaintriage.whois import (
     DEFAULT_SERVERS,
     MAX_RESPONSE_BYTES,
@@ -24,6 +24,8 @@ from domaintriage.whois import (
     _parse_proxy,
     _parse_whois_date,
     _RateLimiter,
+    _strptime_date,
+    _strptime_pattern,
     fetch_or_cache,
     parse_whois,
 )
@@ -509,6 +511,10 @@ def test_parse_whois_date_formats():
     ("2020.05.03", dt.date(2020, 5, 3)),
     ("2021.12.31", dt.date(2021, 12, 31)),
     ("REDACTED FOR PRIVACY", None),
+    # "ſ" matches "s" under IGNORECASE but lower-cases to itself, so
+    # only the title-cased candidate, "01-Sep-2020", is a date
+    ("01-ſep-2020", dt.date(2020, 9, 1)),
+    ("2020-05-03T11:22:60", None),  # datetime has no leap second
     ("redacted", None),
     ("hidden", None),
 ])
@@ -618,6 +624,67 @@ def test_parse_whois_date_equals_trying_every_format(text):
     assert _parse_whois_date(text) == whois_date_every_format(text)
 
 
+def test_date_patterns_are_the_ones_strptime_builds():
+    import _strptime
+
+    time_re = _strptime.TimeRE()
+    for fmt in WHOIS_DATE_FORMATS:
+        assert _strptime_pattern(fmt) == time_re.pattern(fmt), fmt
+
+
+def _month_any_case(name):
+    # each letter lower or upper case, and "s" also as the long s "ſ"
+    return st.tuples(*[st.sampled_from((c, c.upper()) + (("ſ",) if c == "s" else ()))
+                       for c in name]).map("".join)
+
+
+_digit_run = _mostly(st.text(alphabet=_DIGIT_SETS[0], min_size=1, max_size=5),
+                     st.text(alphabet="".join(_DIGIT_SETS), min_size=1, max_size=5))
+_shaped_token = st.one_of(
+    _digit_run,
+    st.sampled_from(("-", ".", "/", "T", ":", " ")),
+    st.sampled_from(_MONTHS + ("sep", "SEP")).flatmap(_month_any_case),
+)
+
+
+def _strptime_or_none(text, fmt):
+    try:
+        return dt.datetime.strptime(text, fmt).date()
+    except ValueError:
+        return None
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(_shaped_token, min_size=1, max_size=9).map("".join))
+def test_parse_whois_date_of_format_shaped_text_equals_every_format(text):
+    assert _parse_whois_date(text) == whois_date_every_format(text)
+    for fmt in WHOIS_DATE_FORMATS:
+        assert _strptime_date(text, fmt) == _strptime_or_none(text, fmt), fmt
+
+
+def test_long_s_is_no_month_name():
+    assert _strptime_date("01-ſep-2020", "%d-%b-%Y") is None
+    assert _strptime_date("01-sEP-2020", "%d-%b-%Y") == dt.date(2020, 9, 1)
+
+
+_WHOIS_KEYS = ("Creation Date", "created", "Registered On", "Registry Expiry Date",
+               "Expiration Date", "paid-till", "Updated Date", "last-update", "Registrar", "")
+_whois_text = st.one_of(
+    st.text(),
+    st.lists(st.tuples(st.sampled_from(_WHOIS_KEYS),
+                       st.one_of(st.text(), _near_date, st.lists(_shaped_token).map("".join)))
+             .map(": ".join)).map("\n".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_whois_text)
+def test_parse_whois_returns_a_record_for_any_text(raw):
+    rec = parse_whois(raw, parse_domain("x.com"), TODAY)
+    assert isinstance(rec, WhoisRecord)
+    assert rec.created is None or rec.expires is None or rec.created <= rec.expires
+
+
 # --- cache ------------------------------------------------------------------
 
 def test_cache_round_trip(tmp_path):
@@ -694,6 +761,55 @@ def test_cache_rejects_line_that_is_not_utf8(tmp_path):
 
 _GOOD_LINE = '{"domain": "a.com", "fetched_on": "2020-05-01", "raw": "ok"}\n'
 _TORN_LINE = '{"domain": "b.com", "fetched_on": "2020-05-0'
+
+
+# JSON nested deeper than the decoder's recursion limit
+_DEEP_LINE = b"[" * 200_000
+
+
+def test_cache_line_nested_too_deep_is_a_bad_line(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(_GOOD_LINE.encode() + _DEEP_LINE + b"\n" + _GOOD_LINE.encode())
+    with pytest.raises(DomainTriageError, match=r":2: bad cache line"):
+        WhoisCache(str(path))
+
+
+def test_cache_torn_last_line_nested_too_deep_is_dropped_then_cut(tmp_path, capsys):
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(_GOOD_LINE.encode() + _DEEP_LINE)
+    cache = WhoisCache(str(path))
+    assert len(cache) == 1
+    assert f"{path}:2: dropped a torn last line" in capsys.readouterr().err
+    cache.put("c.com", "new", dt.date(2020, 5, 2))
+    assert path.read_text(encoding="utf-8") == _GOOD_LINE + (
+        '{"domain": "c.com", "fetched_on": "2020-05-02", "raw": "new"}\n')
+
+
+_cache_line_bytes = st.one_of(
+    st.binary(max_size=80),
+    st.just(_GOOD_LINE.encode()),
+    st.builds(lambda d, f, r: json.dumps({"domain": d, "fetched_on": f, "raw": r}).encode(),
+              st.one_of(st.text(max_size=10), st.integers(), st.none()),
+              st.one_of(st.just("2020-05-01"), st.text(max_size=12), st.integers()),
+              st.one_of(st.text(max_size=10), st.none(), st.lists(st.integers(), max_size=2))),
+    st.integers(1, 3000).map(lambda k: b"[" * k + b"]" * (k % 2 * k)),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(_cache_line_bytes, st.sampled_from((b"\n", b"\r\n", b""))),
+                max_size=6).map(lambda lines: b"".join(a + b for a, b in lines)))
+def test_cache_loads_any_bytes_or_raises_domain_error(tmp_path, data):
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(data)
+    try:
+        cache = WhoisCache(str(path))
+    except DomainTriageError:
+        return
+    for domain in ("a.com", "x.com"):
+        hit = cache.get(domain)
+        assert hit is None or (isinstance(hit[0], str) and isinstance(hit[1], dt.date))
 
 
 @pytest.mark.parametrize("torn", [_TORN_LINE.encode(), b'{"domain": "b.com", "raw": "\xc3'],
