@@ -80,6 +80,7 @@ def _cmd_whois_fetch(args) -> int:
     cache = whois.WhoisCache(args.cache)
     client = whois.WhoisClient(timeout=args.timeout, min_interval=args.rate)
     fetched = hits = failures = 0
+    by_class: dict[str, int] = {}
     for row in dataset.rows:
         if row.domain.raw in cache:
             hits += 1
@@ -89,9 +90,10 @@ def _cmd_whois_fetch(args) -> int:
             fetched += 1
         except whois.WhoisError as exc:
             failures += 1
+            by_class[exc.kind] = by_class.get(exc.kind, 0) + 1
             print(f"{row.domain.raw}: {exc}", file=sys.stderr)
     _emit({"fetched": fetched, "cache_hits": hits, "failures": failures,
-           "cache": args.cache})
+           "failures_by_class": by_class, "cache": args.cache})
     return 0
 
 
@@ -236,6 +238,9 @@ def _cmd_predict(args) -> int:
         domains = [parse_domain(args.domain)]
     else:
         feed = ingest.load_feed(ingest.FeedSpec(path=args.infile, label=0, source="predict"))
+        if feed.skipped:
+            print(f"warning: {args.infile}: skipped {feed.skipped} rows whose domain does not parse",
+                  file=sys.stderr)
         domains = [row.domain for row in feed.rows]
     x17 = _extract_features(domains, args.cache, reference_date)
     labels, scores = learn.ensemble_scores(model, x17)

@@ -57,28 +57,42 @@ DEFAULT_SERVERS = {
 
 
 class WhoisError(DomainTriageError):
-    """Base class for WHOIS client failures."""
+    """Base class for WHOIS client failures.  Each subclass sets
+    ``kind``, the class of failure that ``whois-fetch`` counts it
+    under."""
+
+    kind: str
 
 
 class WhoisTimeout(WhoisError):
     """The exchange with the server did not finish within the configured
     timeout."""
 
+    kind = "timeout"
+
 
 class ResponseTooLarge(WhoisError):
     """The server sent more than ``MAX_RESPONSE_BYTES``."""
+
+    kind = "too_large"
 
 
 class WhoisConnectionRefused(WhoisError):
     """The server (or proxy) could not be reached."""
 
+    kind = "refused"
+
 
 class NoServerForTld(WhoisError):
     """No configured server and no IANA referral for the TLD."""
 
+    kind = "no_server"
+
 
 class RateLimited(WhoisError):
     """The server said we are querying too fast."""
+
+    kind = "rate_limited"
 
 
 _RATE_LIMIT_SIGNALS = (
@@ -472,16 +486,31 @@ def parse_whois(
 # deeper than the decoder's recursion limit
 _BAD_LINE = (KeyError, TypeError, ValueError, RecursionError)
 
+# the cache file is read in blocks of whole lines of about this many
+# bytes.  Under glibc's 128 KiB mmap threshold a block's buffers reuse
+# heap memory rather than being mapped and unmapped on every read, and
+# 64 KiB blocks loaded faster than 1 MiB ones.
+_CACHE_BLOCK = 1 << 16
+
+# the C scanner behind json.loads, without its whitespace matches
+_scan_json = json.JSONDecoder().raw_decode
+
+
+def _cache_entry(obj) -> tuple[str, tuple[str, dt.date]]:
+    """The domain and its (raw, fetched_on) entry from one decoded cache
+    line; an object not of the documented shape raises one of
+    ``_BAD_LINE``."""
+    if not (isinstance(obj, dict) and isinstance(obj.get("domain"), str)
+            and isinstance(obj.get("raw"), str)):
+        raise ValueError("not an object with a string domain and raw")
+    return obj["domain"], (obj["raw"], dt.date.fromisoformat(obj["fetched_on"]))
+
 
 def _cache_line(line: bytes) -> tuple[str, tuple[str, dt.date]]:
     """The domain and its (raw, fetched_on) entry from one cache line;
     a line that is not UTF-8 JSON of the documented shape raises one of
     ``_BAD_LINE``."""
-    obj = json.loads(line.decode("utf-8"))
-    if not (isinstance(obj, dict) and isinstance(obj.get("domain"), str)
-            and isinstance(obj.get("raw"), str)):
-        raise ValueError("not an object with a string domain and raw")
-    return obj["domain"], (obj["raw"], dt.date.fromisoformat(obj["fetched_on"]))
+    return _cache_entry(json.loads(line.decode("utf-8")))
 
 
 def _close_last_line(fh) -> bytes:
@@ -516,21 +545,51 @@ class WhoisCache:
         self.path = path
         self._entries: dict[str, tuple[str, dt.date]] = {}
         try:
-            # bytes, so that each line is decoded inside its own try
             with open(path, "rb") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    if not line.strip():
-                        continue
+                lineno = 0
+                while lines := fh.readlines(_CACHE_BLOCK):
+                    # one decode per block of whole lines; UTF-8 never
+                    # has a newline byte inside a character, so each
+                    # "\n" of the text ends one of the lines
                     try:
-                        domain, entry = _cache_line(line)
-                    except _BAD_LINE as exc:
-                        # only the last line can lack its newline
-                        if not line.endswith(b"\n"):
-                            print(f"warning: {path}:{lineno}: dropped a torn last line: {exc}",
-                                  file=sys.stderr)
-                            break
-                        raise DomainTriageError(f"{path}:{lineno}: bad cache line: {exc}") from exc
-                    self._entries[domain] = entry
+                        text = b"".join(lines).decode("utf-8")
+                    except UnicodeDecodeError:
+                        text = ""  # each line is decoded on its own below
+                    start = 0
+                    for line in lines:
+                        lineno += 1
+                        end = text.find("\n", start)
+                        first, start = start, end + 1
+                        # put's shape: an object that ends at the newline,
+                        # with three keys.  _cache_entry holds those to
+                        # strings, so nothing nests, and the decoder's
+                        # recursion limit, which counts the caller's
+                        # frames, cannot accept here what it rejects in
+                        # _cache_line.
+                        if text.startswith("{", first):
+                            try:
+                                obj, stop = _scan_json(text, first)
+                                if stop == end and len(obj) == 3:
+                                    domain, entry = _cache_entry(obj)
+                                    self._entries[domain] = entry
+                                    continue
+                            except _BAD_LINE:
+                                pass
+                        # anything else, bad lines included, goes through
+                        # _cache_line, so that its errors stay the same
+                        if not line.strip():
+                            continue
+                        try:
+                            domain, entry = _cache_line(line)
+                        except _BAD_LINE as exc:
+                            # only the last line can lack its newline
+                            if not line.endswith(b"\n"):
+                                print(f"warning: {path}:{lineno}: dropped a torn last line: {exc}",
+                                      file=sys.stderr)
+                                break
+                            raise DomainTriageError(
+                                f"{path}:{lineno}: bad cache line: {exc}") from exc
+                        self._entries[domain] = entry
         except FileNotFoundError:
             pass
 

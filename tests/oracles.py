@@ -6,7 +6,9 @@ behind the same bug in its test.
 """
 
 import datetime as dt
+import json
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -99,6 +101,41 @@ def whois_date_every_format(text: str):
             except ValueError:
                 continue
     return None
+
+
+def whois_cache_per_line(path: str):
+    """A WHOIS cache file loaded one line at a time, each line decoded
+    and parsed on its own: ``(entries, error)``, where ``entries`` maps
+    each domain to its newest ``(raw, fetched_on)`` in insertion order
+    and ``error`` is the text of the ``DomainTriageError`` the load
+    raises, or None.  Blank lines (``bytes.strip``) are skipped; a line
+    that is not UTF-8 JSON of an object with a string domain and raw
+    and an ISO ``fetched_on`` is an error, unless it is the last line
+    and has no newline, which is dropped with a warning on stderr."""
+    entries = {}
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return entries, None
+    with fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line.decode("utf-8"))
+                if not (isinstance(obj, dict) and isinstance(obj.get("domain"), str)
+                        and isinstance(obj.get("raw"), str)):
+                    raise ValueError("not an object with a string domain and raw")
+                domain = obj["domain"]
+                entry = (obj["raw"], dt.date.fromisoformat(obj["fetched_on"]))
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
+                if not line.endswith(b"\n"):
+                    print(f"warning: {path}:{lineno}: dropped a torn last line: {exc}",
+                          file=sys.stderr)
+                    break
+                return entries, f"{path}:{lineno}: bad cache line: {exc}"
+            entries[domain] = entry
+    return entries, None
 
 
 def entropy_definitional(text: str) -> float:

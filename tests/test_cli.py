@@ -221,6 +221,21 @@ def test_predict_single_and_batch(pipeline, capsys):
     assert [r["domain"] for r in rows] == ["calmgarden.com", "zz91x8v7c6b5n4m3.top"]
 
 
+def test_predict_batch_warns_of_skipped_rows(pipeline, capsys):
+    model, _, _ = _train(pipeline, capsys)
+    outputs = []
+    for name, text in (("good.csv", "good-covid.com\n"),
+                       ("mixed.csv", "good-covid.com\nbad domain.com\n\x01ctl.com\nhttp://\n")):
+        batch = pipeline["tmp"] / name
+        batch.write_text(text)
+        assert main(["predict", "--model", model, "--in", str(batch), "--reference-date", REF]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[1].out == outputs[0].out and outputs[0].out.count("\n") == 1
+    assert outputs[0].err == ""
+    assert outputs[1].err == (f"warning: {pipeline['tmp'] / 'mixed.csv'}: "
+                              "skipped 3 rows whose domain does not parse\n")
+
+
 def test_whois_fetch_counts_cache_hits(pipeline, capsys, tmp_path):
     cache_path = str(tmp_path / "cache.jsonl")
     cache = WhoisCache(cache_path)
@@ -363,6 +378,7 @@ def test_whois_fetch_offline_failures_still_exit_zero(pipeline, capsys, tmp_path
                             "--timeout", "0.4")
     assert code == 0
     assert summary["failures"] == 2
+    assert summary["failures_by_class"] == {"refused": 2}
     assert summary["fetched"] == 0
 
 

@@ -4,12 +4,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domaintriage.ingest import read_features, write_features
 from domaintriage.model import (
     FEATURE_NAMES,
     DatasetRow,
     Domain,
+    DomainTriageError,
     EmptyInput,
     FeatureVector,
     IllegalCharacter,
@@ -53,6 +56,18 @@ def test_parse_domain_is_idempotent():
         once = parse_domain(raw)
         twice = parse_domain(once.raw)
         assert once == twice
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.tuples(st.sampled_from(["", " ", "http://", "HTTPS://", "https://http://", "hTTp://"]),
+                 st.text(), st.sampled_from(["", "/", "/x y", " ", ".com", "\n"])).map("".join))
+def test_parse_domain_returns_a_domain_or_raises_and_is_idempotent(raw):
+    try:
+        once = parse_domain(raw)
+    except DomainTriageError:
+        return
+    assert isinstance(once, Domain) and once.raw
+    assert parse_domain(once.raw) == once
 
 
 def test_parse_domain_rejects_empty_and_illegal():

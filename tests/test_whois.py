@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from domaintriage import whois as whois_mod
 from domaintriage.model import DomainTriageError, WhoisRecord, parse_domain
 from domaintriage.whois import (
     DEFAULT_SERVERS,
@@ -29,7 +30,7 @@ from domaintriage.whois import (
     fetch_or_cache,
     parse_whois,
 )
-from oracles import WHOIS_DATE_FORMATS, whois_date_every_format
+from oracles import WHOIS_DATE_FORMATS, whois_cache_per_line, whois_date_every_format
 
 TODAY = dt.date(2020, 5, 16)
 
@@ -858,6 +859,100 @@ def test_cache_put_after_unterminated_entry_keeps_it(tmp_path, capsys):
     assert again.get("a.com") == ("ok", dt.date(2020, 5, 1))
     assert again.get("c.com") == ("new", dt.date(2020, 5, 2))
     assert path.read_text(encoding="utf-8").count("\n") == 2
+
+
+def _put_line(fields: list, ensure_ascii: bool) -> bytes:
+    # the fields as a JSON object in the given key order, duplicates kept
+    text = "{" + ", ".join(json.dumps(k) + ": " + json.dumps(v, ensure_ascii=ensure_ascii)
+                           for k, v in fields) + "}"
+    return text.encode("utf-8", "surrogatepass")
+
+
+_domains = st.sampled_from(["a.com", "b.com", "bücher.de", "пр.рф", "\U0001f637.com"])
+_raws = st.one_of(st.sampled_from(["ok", "", "line\r\nline\r\n", 'say "hi"', "\ud800", "é",
+                                   "a\u2028b\x85c", "\x0b\x0c\x1c"]), st.text(max_size=8))
+
+# put's lines, escaped or not; an unescaped "\ud800" is not UTF-8
+_good_lines = st.builds(
+    lambda domain, date, raw, ensure_ascii: _put_line(
+        [("domain", domain), ("fetched_on", date), ("raw", raw)], ensure_ascii),
+    _domains, st.sampled_from(["2020-05-01", "2020-05-02", "20200503"]), _raws, st.booleans())
+
+# objects of other shapes: other types, bad dates, shuffled, duplicate
+# and extra keys
+_entry_lines = st.builds(
+    lambda domain, date, raw, extra, ensure_ascii, order: _put_line(
+        [f for _, f in sorted(zip(order, [("domain", domain), ("fetched_on", date),
+                                          ("raw", raw)] + extra))], ensure_ascii),
+    st.one_of(_domains, st.text(max_size=6), st.integers()),
+    st.sampled_from(["2020-05-01", "2020-02-30", "2020-5-1", "", 7]),
+    st.one_of(_raws, st.none()),
+    st.lists(st.tuples(st.sampled_from(["domain", "raw", "fetched_on", "x"]),
+                       st.one_of(st.just("b.com"), st.integers(1, 60).map(
+                           lambda k: json.loads("[" * k + "]" * k)))), max_size=2),
+    st.booleans(),
+    st.permutations(range(5)),
+)
+
+_objects = st.one_of(_good_lines, _entry_lines)
+_spaces = st.sampled_from([b"", b" ", b"\t", b"\r", b" \r\t"])
+
+# a line of an alphabet that tries each way the block scan could part
+# from decoding one line at a time
+_loader_lines = st.one_of(
+    _good_lines,
+    _good_lines,
+    _objects,
+    st.tuples(_spaces, _objects, _spaces).map(b"".join),
+    _objects.map(lambda line: b"\xef\xbb\xbf" + line),
+    st.sampled_from([b"", b"  ", b"\x0b", b"\x0c", b"\x1c", b"\x0b\x0c", b"\xe2\x80\xa8",
+                     b"\xff\xfe", b"\xc3", b"{", b"{}", b"[" * 3000, b'{"a": ' + b"[" * 3000,
+                     b'{"domain": "x.com", "fetched_on": "2020-05-01", "raw": "\xe9"}',
+                     b'{"domain":\n"a.com", "fetched_on": "2020-05-01", "raw": "r"}']),
+    st.binary(max_size=12),
+)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(_loader_lines, st.sampled_from((b"\n", b"\n", b"\r\n", b""))),
+                max_size=8).map(lambda lines: b"".join(a + b for a, b in lines)),
+       st.sampled_from([1, 2, 3, 5, 8, 13, 40, 100, whois_mod._CACHE_BLOCK]))
+def test_cache_load_equals_loading_line_by_line(tmp_path, capsys, monkeypatch, data, block):
+    # block sizes of a few bytes end the hint inside lines, between them
+    # and inside multi-byte characters; readlines completes the line
+    monkeypatch.setattr(whois_mod, "_CACHE_BLOCK", block)
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(data)
+    capsys.readouterr()
+    want, error = whois_cache_per_line(str(path))
+    want_err = capsys.readouterr().err
+    try:
+        got = WhoisCache(str(path))._entries
+    except DomainTriageError as exc:
+        assert type(exc) is DomainTriageError and str(exc) == error
+    else:
+        assert error is None
+        assert list(got.items()) == list(want.items())
+    assert capsys.readouterr().err == want_err
+
+
+def test_cache_line_with_more_keys_is_parsed_line_by_line(tmp_path, monkeypatch):
+    # the block scan takes only put's three keys, so a line with any
+    # other key, which may nest up to the decoder's recursion limit,
+    # goes through _cache_line, as does a line that is not put's shape
+    seen = []
+    cache_line = whois_mod._cache_line
+    monkeypatch.setattr(whois_mod, "_cache_line", lambda line: seen.append(line) or cache_line(line))
+    lines = [_GOOD_LINE,
+             '{"domain": "b.com", "fetched_on": "2020-05-01", "raw": "ok", "x": [[[]]]}\n',
+             ' {"domain": "c.com", "fetched_on": "2020-05-01", "raw": "ok"}\n',
+             '{"domain": "d.com", "fetched_on": "2020-05-01", "raw": "ok"}\r\n']
+    path = tmp_path / "cache.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    cache = WhoisCache(str(path))
+    assert list(cache._entries) == ["a.com", "b.com", "c.com", "d.com"]
+    assert [line.decode() for line in seen] == lines[1:]
 
 
 def test_cache_rejects_future_date(tmp_path):
