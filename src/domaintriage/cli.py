@@ -234,8 +234,11 @@ def _cmd_evaluate(args) -> int:
 def _cmd_predict(args) -> int:
     model = _load_model(args.model)
     reference_date = args.reference_date or dt.date.today()
-    if args.domain:
-        domains = [parse_domain(args.domain)]
+    if args.domain is not None:
+        try:
+            domains = [parse_domain(args.domain)]
+        except DomainTriageError as exc:
+            raise SystemExit2(f"--domain: {exc}") from exc
     else:
         feed = ingest.load_feed(ingest.FeedSpec(path=args.infile, label=0, source="predict"))
         if feed.skipped:

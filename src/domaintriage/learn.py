@@ -125,14 +125,15 @@ class Standardizer:
 
 @dataclass
 class Tree:
-    """One decision tree as a flat preorder node table.
+    """One decision tree as a flat preorder node table, in the three
+    columns of the model file.
 
     Node 0 is the root.  A split node i sends a row to node i + 1 when
-    its value of ``feature[i]`` is <= ``threshold[i]`` and to node
-    ``right[i]`` otherwise.  A leaf has ``feature == -1`` and holds the
-    probability of label 1 in ``prob``; the fields a node does not use
-    hold 0.  Children always come after their parent, so every walk ends
-    within len(feature) steps.
+    its value of ``feature[i]`` is <= ``value[i]`` and to node
+    ``right[i]`` otherwise.  A leaf has ``feature == -1``, holds 0 in
+    ``right`` and the probability of label 1 in ``value``.  Children
+    always come after their parent, so every walk ends within
+    len(feature) steps.
 
     Trees come from the one grower behind :func:`train_random_forest`
     (the ``dt`` member is its one-tree case), which writes each tree's
@@ -141,17 +142,14 @@ class Tree:
     """
 
     feature: np.ndarray
-    threshold: np.ndarray
     right: np.ndarray
-    prob: np.ndarray
+    value: np.ndarray
 
     def to_payload(self) -> dict:
-        """Three columns: ``feature`` and ``right`` as int32, and
-        ``value``, the threshold at a split and the probability at a
-        leaf."""
-        value = np.where(self.feature >= 0, self.threshold, self.prob)
+        """The three columns: ``feature`` and ``right`` as int32, and
+        ``value`` as float64."""
         return {"feature": _pack(self.feature, "<i4"), "right": _pack(self.right, "<i4"),
-                "value": _pack(value, "<f8")}
+                "value": _pack(self.value, "<f8")}
 
     @classmethod
     def from_payload(cls, obj: dict, width: int) -> "Tree":
@@ -172,8 +170,7 @@ class Tree:
             raise CorruptPayload(f"tree feature index outside -1..{width - 1}")
         if not ((right >= 0) & (right < n) & (~split | (right > np.arange(n) + 1))).all():
             raise CorruptPayload("tree child index does not follow its parent")
-        return cls(feature=feature, threshold=np.where(split, value, 0.0),
-                   right=right, prob=np.where(split, 0.0, value))
+        return cls(feature=feature, right=right, value=value)
 
 
 # (row, drawn feature) keys, and count bins, in one chunk of the split
@@ -258,7 +255,7 @@ def _grow_forest(x, y, rows, rngs, mf, max_depth, min_leaf) -> list[Tree]:
     ranks = _Ranks.of(x, y)
     flat = rows.ravel()
     all_features = np.arange(p)
-    tables = [[] for _ in range(n_trees)]  # per tree, [feature, threshold, right, prob] in preorder
+    tables = [[] for _ in range(n_trees)]  # per tree, [feature, right, value] in preorder
     # (start, stop, depth, positives, parent whose right child this is, or -1)
     stacks = [[(t * n, (t + 1) * n, 0, int(y[r].sum()), -1)] for t, r in enumerate(rows)]
     while True:
@@ -268,8 +265,8 @@ def _grow_forest(x, y, rows, rngs, mf, max_depth, min_leaf) -> list[Tree]:
                 start, stop, depth, pos, parent = stack.pop()
                 size = stop - start
                 if parent >= 0:
-                    table[parent][2] = len(table)
-                table.append([-1, 0.0, 0, pos / size])
+                    table[parent][1] = len(table)
+                table.append([-1, 0, pos / size])
                 if pos == 0 or pos == size or depth >= max_depth or size < 2 * min_leaf:
                     continue
                 if rngs is None:
@@ -288,14 +285,14 @@ def _grow_forest(x, y, rows, rngs, mf, max_depth, min_leaf) -> list[Tree]:
                 f, threshold, ln, lp = split
                 table = tables[t]
                 at = len(table) - 1  # the node just searched is its tree's last
-                table[at][:] = [f, threshold, 0, 0.0]
+                table[at][:] = [f, 0, threshold]
                 stacks[t] += [(start + ln, stop, depth + 1, pos - lp, at),
                               (start, start + ln, depth + 1, lp, -1)]
     trees = []
     for table in tables:
-        feature, threshold, right, prob = np.array(table, dtype=float).T.copy()
-        trees.append(Tree(feature=feature.astype(np.intp), threshold=threshold,
-                          right=right.astype(np.intp), prob=prob))
+        feature, right, value = np.array(table, dtype=float).T.copy()
+        trees.append(Tree(feature=feature.astype(np.intp), right=right.astype(np.intp),
+                          value=value))
     return trees
 
 
@@ -438,9 +435,8 @@ def forest_predict_proba(trees: list[Tree], x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     roots = np.cumsum([0] + [len(t.feature) for t in trees[:-1]])
     feature = np.concatenate([t.feature for t in trees])
-    threshold = np.concatenate([t.threshold for t in trees])
     right = np.concatenate([t.right + root for t, root in zip(trees, roots)])
-    prob = np.concatenate([t.prob for t in trees])
+    value = np.concatenate([t.value for t in trees])
     acc = np.zeros(len(x), dtype=float)
     chunk = max(1, _MAX_PAIRS // len(trees))
     for start in range(0, len(x), chunk):
@@ -451,11 +447,11 @@ def forest_predict_proba(trees: list[Tree], x) -> np.ndarray:
         live = np.flatnonzero(feature[node] >= 0)
         while len(live):
             at = node[live]
-            go_left = block[rows[live], feature[at]] <= threshold[at]
+            go_left = block[rows[live], feature[at]] <= value[at]
             at = np.where(go_left, at + 1, right[at])
             node[live] = at
             live = live[feature[at] >= 0]
-        for leaf_probs in prob[node].reshape(len(trees), n):
+        for leaf_probs in value[node].reshape(len(trees), n):
             acc[start:start + n] += leaf_probs
     return acc / len(trees)
 
@@ -566,10 +562,13 @@ class LogisticModel:
 
     @classmethod
     def from_payload(cls, obj: dict, width: int) -> "LogisticModel":
+        loss = obj["final_loss"]
+        if type(loss) not in (int, float) or not math.isfinite(loss):
+            raise CorruptPayload(f"lr final_loss must be a finite number, got {loss!r}")
         return cls(
             weights=_finite(obj["weights"], "lr weights", (width,)),
             bias=float(_finite(obj["bias"], "lr bias", ())),
-            final_loss=float(obj["final_loss"]),
+            final_loss=float(loss),
         )
 
 
@@ -818,9 +817,11 @@ def train_ensemble(
         raise InvalidHyperparameter(f"lr_rate must be finite and above 0, got {params['lr_rate']}")
     if not models:
         raise ValueError("need at least one member model")
-    for kind in models:
+    for i, kind in enumerate(models):
         if kind not in MEMBERS:
             raise ValueError(f"unknown model kind {kind!r}")
+        if kind in models[:i]:
+            raise ValueError(f"model kind {kind!r} given more than once")
     x17 = np.asarray(x17, dtype=float)
     y = np.asarray(y, dtype=int)
     if len(x17) == 0:
@@ -970,12 +971,17 @@ def deserialize_model(data: bytes) -> EnsembleModel:
             members.append(MEMBERS[obj["kind"]].from_payload(obj, width))
         if not members:
             raise CorruptPayload("a model needs at least one member")
+        seed, params = payload["seed"], payload["params"]
+        if type(seed) is not int:
+            raise CorruptPayload(f"seed must be an integer, got {seed!r}")
+        if not isinstance(params, dict):
+            raise CorruptPayload(f"params must be an object, got {params!r}")
         return EnsembleModel(
             members=members,
             selected_features=selected,
             standardizer=Standardizer(**std),
-            seed=int(payload["seed"]),
-            params=dict(payload["params"]),
+            seed=seed,
+            params=params,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptPayload(f"model payload missing or malformed field: {exc}") from exc

@@ -333,20 +333,6 @@ _KEY_FAMILIES = {
 }
 
 
-def _needs(fmt: str) -> tuple[str, int, frozenset[str], bool]:
-    """A format with what a stripped string must have for ``strptime`` to
-    match it: its leading digits (four for %Y; one for %d, whose other
-    form, a space and a digit, cannot start such a string), the
-    format's literal characters, lower-cased because ``strptime``
-    matches with IGNORECASE, and whitespace, which is what a space in a
-    format matches."""
-    literals = re.sub("%.", "", fmt)
-    lead = {"%Y": 4, "%d": 1}[fmt[:2]]
-    return fmt, lead, frozenset(literals.replace(" ", "").lower()), " " in literals
-
-
-_DATE_NEEDS = tuple(_needs(fmt) for fmt in _DATE_FORMATS)
-
 # the C locale's month abbreviations, the names %b takes: Python never
 # sets LC_TIME, so strptime matches these
 _MONTHS = {name: number for number, name in enumerate(
@@ -418,19 +404,13 @@ def _parse_whois_date(text: str) -> dt.date | None:
         pass
     except OverflowError:  # the UTC instant is outside datetime's range
         return None
-    # _strptime_date judges every format tried.  A format is skipped
-    # only when it cannot match (no candidate starts with a space), and
-    # so is a candidate equal to an earlier one, which failed.
     first = text.split()[0]
+    # a candidate equal to an earlier one has already failed every format
     for candidate in dict.fromkeys((text, first, first.title())):
-        chars = set(candidate.lower())
-        spaced = candidate.split() != [candidate]
-        for fmt, lead, literals, needs_space in _DATE_NEEDS:
-            if (candidate[:lead].isdigit() and literals <= chars
-                    and (spaced or not needs_space)):
-                parsed = _strptime_date(candidate, fmt)
-                if parsed is not None:
-                    return parsed
+        for fmt in _DATE_FORMATS:
+            parsed = _strptime_date(candidate, fmt)
+            if parsed is not None:
+                return parsed
     return None
 
 

@@ -204,6 +204,17 @@ def test_train_rejects_bad_float_hyperparameter(pipeline, capsys, flag, value, n
     assert not model.exists()
 
 
+def test_train_rejects_a_repeated_model_kind(pipeline, capsys):
+    sel = str(pipeline["tmp"] / "selection.json")
+    _run(capsys, "select", "--in", pipeline["features"], "--out", sel)
+    model = pipeline["tmp"] / "model.json"
+    code = main(["train", "--in", pipeline["features"], "--selection", sel,
+                 "--out", str(model), "--models", "rf,rf,dt"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: model kind 'rf' given more than once\n"
+    assert not model.exists()
+
+
 def test_predict_single_and_batch(pipeline, capsys):
     model, _, _ = _train(pipeline, capsys)
     code, rows = _run(capsys, "predict", "--model", model,
@@ -234,6 +245,15 @@ def test_predict_batch_warns_of_skipped_rows(pipeline, capsys):
     assert outputs[0].err == ""
     assert outputs[1].err == (f"warning: {pipeline['tmp'] / 'mixed.csv'}: "
                               "skipped 3 rows whose domain does not parse\n")
+
+
+@pytest.mark.parametrize("domain", ["", "bad domain.com", "http://"])
+def test_predict_domain_that_does_not_parse_is_a_usage_error(pipeline, capsys, domain):
+    model, _, _ = _train(pipeline, capsys)
+    assert main(["predict", "--model", model, "--domain", domain, "--reference-date", REF]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --domain: ") and err.count("\n") == 1
 
 
 def test_whois_fetch_counts_cache_hits(pipeline, capsys, tmp_path):

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import itertools
 import json
 import math
@@ -140,14 +141,14 @@ def test_root_split_matches_brute_force():
         else:
             assert tree.feature[0] != -1, trial
             assert tree.feature[0] == want[1], trial
-            assert tree.threshold[0] == want[2], trial
+            assert tree.value[0] == want[2], trial
 
 
 def test_tree_pure_node_is_leaf():
     x = np.array([[0.0], [1.0], [2.0], [3.0]])
     tree = train_decision_tree(x, np.array([1, 1, 1, 1]), min_leaf=1)
     assert tree.feature.tolist() == [-1]
-    assert tree.prob[0] == 1.0
+    assert tree.value[0] == 1.0
 
 
 def test_tree_separable_data_perfect_on_train():
@@ -162,11 +163,11 @@ def test_tree_separable_data_perfect_on_train():
 def _check_tree(tree, node, depth, max_depth, min_leaf, x, y, idx):
     n = len(idx)
     if tree.feature[node] == -1:
-        assert 0.0 <= tree.prob[node] <= 1.0
-        assert tree.prob[node] == y[idx].sum() / n
+        assert 0.0 <= tree.value[node] <= 1.0
+        assert tree.value[node] == y[idx].sum() / n
         return
     assert depth < max_depth
-    mask = x[idx, tree.feature[node]] <= tree.threshold[node]
+    mask = x[idx, tree.feature[node]] <= tree.value[node]
     left, right = idx[mask], idx[~mask]
     assert len(left) >= min_leaf and len(right) >= min_leaf
     _check_tree(tree, node + 1, depth + 1, max_depth, min_leaf, x, y, left)
@@ -268,8 +269,16 @@ def test_forest_split_chunks_consistent(monkeypatch):
     assert [t.to_payload() for t in chunked] == [t.to_payload() for t in whole]
 
 
-def _tree_bits(columns: dict) -> list[bytes]:
-    return [columns[key].tobytes() for key in ("feature", "threshold", "right", "prob")]
+def _tree_bits(tree: Tree) -> list[bytes]:
+    return [tree.feature.tobytes(), tree.right.tobytes(), tree.value.tobytes()]
+
+
+def _oracle_bits(columns: dict) -> list[bytes]:
+    """The oracle's four columns as a Tree's three: ``value`` is the
+    threshold at a split and the probability at a leaf."""
+    feature = columns["feature"]
+    value = np.where(feature >= 0, columns["threshold"], columns["prob"])
+    return [feature.tobytes(), columns["right"].tobytes(), value.tobytes()]
 
 
 # values where the midpoint rule and the ordering are easy to get wrong
@@ -299,7 +308,7 @@ def test_lockstep_forest_equals_recursive_grower(data):
         if data.draw(st.booleans()):
             patch.setattr(learn, "_SPLIT_KEYS", 16)
         got = train_random_forest(x, y, **params)
-    assert [_tree_bits(vars(t)) for t in got] == [_tree_bits(t) for t in want]
+    assert [_tree_bits(t) for t in got] == [_oracle_bits(t) for t in want]
 
 
 def test_decision_tree_equals_recursive_grower():
@@ -309,7 +318,7 @@ def test_decision_tree_equals_recursive_grower():
     y = (x[:, 0] + x[:, 2] + rng.normal(size=300) > 4).astype(int)
     (want,) = forest_recursive(x, y, n_trees=1, max_features=4, bootstrap=False, seed=0,
                                max_depth=12, min_leaf=3)
-    assert _tree_bits(vars(train_decision_tree(x, y, max_depth=12, min_leaf=3))) == _tree_bits(want)
+    assert _tree_bits(train_decision_tree(x, y, max_depth=12, min_leaf=3)) == _oracle_bits(want)
 
 
 def test_lockstep_forest_equals_recursive_walk():
@@ -321,8 +330,10 @@ def test_lockstep_forest_equals_recursive_walk():
         y = (x[:, 0] + rng.normal(scale=1.0, size=n) > 1.5).astype(int)
         trees = train_random_forest(x, y, n_trees=int(rng.integers(1, 12)), seed=trial,
                                     min_leaf=int(rng.integers(1, 4)))
-        tables = [{key: getattr(t, key).tolist() for key in ("feature", "threshold", "right", "prob")}
-                  for t in trees]
+        # the oracle walk reads ``threshold`` only at splits and ``prob``
+        # only at leaves, so both can be the tree's ``value``
+        tables = [{"feature": t.feature.tolist(), "right": t.right.tolist(),
+                   "threshold": t.value.tolist(), "prob": t.value.tolist()} for t in trees]
         q = rng.integers(-1, 5, size=(60, p)).astype(float)
         # put queries exactly on split thresholds, where <= decides the side
         splits = [(f, t) for tree in tables
@@ -651,6 +662,9 @@ def test_train_ensemble_validation():
     x, y = _raw17(seed=56)
     with pytest.raises(ValueError):
         train_ensemble(x, y, [0, 4], models=("rf", "mystery"), n_trees=2)
+    # a repeated kind would vote twice with the same scores
+    with pytest.raises(ValueError, match="'rf' given more than once"):
+        train_ensemble(x, y, [0, 4], models=("rf", "rf", "dt"), n_trees=2)
     with pytest.raises(ValueError):
         train_ensemble(x, y, [], n_trees=2)
     with pytest.raises(ValueError):
@@ -745,9 +759,9 @@ def test_deserialize_corrupt_payloads():
         deserialize_model(json.dumps(payload2).encode())
 
 
-def _tree(feature, threshold, right, prob) -> Tree:
-    return Tree(feature=np.array(feature), threshold=np.array(threshold, dtype=float),
-                right=np.array(right), prob=np.array(prob, dtype=float))
+def _tree(feature, right, value) -> Tree:
+    return Tree(feature=np.array(feature), right=np.array(right),
+                value=np.array(value, dtype=float))
 
 
 def _b64(data: bytes) -> str:
@@ -755,20 +769,42 @@ def _b64(data: bytes) -> str:
 
 
 def test_tree_node_dict_round_trip():
-    leaf = _tree([-1], [0.0], [0], [0.25])
+    leaf = _tree([-1], [0], [0.25])
     assert leaf.to_payload() == {
         "feature": {"dtype": "<i4", "shape": [1], "b64": _b64(struct.pack("<i", -1))},
         "right": {"dtype": "<i4", "shape": [1], "b64": _b64(struct.pack("<i", 0))},
         "value": {"dtype": "<f8", "shape": [1], "b64": _b64(struct.pack("<d", 0.25))},
     }
-    split = _tree([2, -1, -1], [0.5, 0.0, 0.0], [2, 0, 0], [0.0, 0.0, 1.0])
     # value: the threshold at the split, the probabilities at the leaves
+    split = _tree([2, -1, -1], [2, 0, 0], [0.5, 0.0, 1.0])
     assert split.to_payload()["value"]["b64"] == _b64(struct.pack("<3d", 0.5, 0.0, 1.0))
     again = Tree.from_payload(split.to_payload(), width=3)
     assert again.to_payload() == split.to_payload()
-    for key in ("feature", "threshold", "right", "prob"):
+    for key in ("feature", "right", "value"):
         assert getattr(again, key).tolist() == getattr(split, key).tolist(), key
     assert split.feature[0] != -1 and leaf.feature[0] == -1
+
+
+def test_tree_fields_are_the_payload_columns():
+    tree = train_decision_tree(*_blobs(seed=45))
+    assert [f.name for f in dataclasses.fields(Tree)] == list(tree.to_payload())
+
+
+def _trees(member) -> list[Tree]:
+    return member.trees if member.kind == "rf" else [member.tree]
+
+
+def test_noisy_forest_trees_round_trip_bit_equal():
+    x, y = _raw17(n=400, seed=65)
+    y = np.where(np.random.default_rng(65).random(len(y)) < 0.2, 1 - y, y)  # deep, many leaves
+    model = train_ensemble(x, y, [0, 4, 9, 13], models=("rf", "dt"), seed=0, n_trees=10)
+    clone = deserialize_model(serialize_model(model))
+    for member, again in zip(model.members, clone.members):
+        for tree, loaded in zip(_trees(member), _trees(again), strict=True):
+            assert len(tree.feature) > 15
+            for key in ("feature", "right", "value"):
+                want, got = getattr(tree, key), getattr(loaded, key)
+                assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), key
 
 
 # The payload tests below edit a "plain" view of a format-3 payload, in
@@ -912,10 +948,12 @@ def _mutate(data, holder, key) -> None:
 
 
 def _loads_and_scores_or_raises(blob: bytes, x) -> None:
+    """A model that loads scores in [0, 1] and can be written again."""
     try:
         model = deserialize_model(blob)
     except DomainTriageError:
         return
+    serialize_model(model)
     labels, scores = ensemble_scores(model, x)
     assert ((scores >= 0.0) & (scores <= 1.0)).all()
     for member_scores in model.member_scores(x):
@@ -980,6 +1018,13 @@ _CORRUPT_FIELDS = {
     "lr weights too short": lambda p: _member_of(p, "lr")["weights"].pop(),
     "lr weight nan": lambda p: _member_of(p, "lr")["weights"].__setitem__(0, float("nan")),
     "lr bias infinite": lambda p: _member_of(p, "lr").update(bias=float("inf")),
+    "lr final_loss a string": lambda p: _member_of(p, "lr").update(final_loss="nan"),
+    "lr final_loss nan": lambda p: _member_of(p, "lr").update(final_loss=float("nan")),
+    "lr final_loss a bool": lambda p: _member_of(p, "lr").update(final_loss=True),
+    "seed a string": lambda p: p.update(seed="7"),
+    "seed fractional": lambda p: p.update(seed=1.9),
+    "seed a bool": lambda p: p.update(seed=True),
+    "params a list of pairs": lambda p: p.update(params=[["x", 1]]),
 }
 
 
@@ -1001,8 +1046,9 @@ def test_mutated_payload_fields_load_and_score_or_raise(full_payload_model, data
     payload = _plain(payload)
     owner, key = data.draw(st.sampled_from([
         ("knn", "x"), ("knn", "y"), ("knn", "k"), ("lr", "weights"), ("lr", "bias"),
-        ("standardizer", "medians"), ("standardizer", "means"), ("standardizer", "stds"),
-        ("model", "selected_features"),
+        ("lr", "final_loss"), ("standardizer", "medians"), ("standardizer", "means"),
+        ("standardizer", "stds"), ("model", "selected_features"), ("model", "seed"),
+        ("model", "params"),
     ]))
     if owner == "model":
         holder = payload
