@@ -76,9 +76,9 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_whois_fetch(args) -> int:
+    client = whois.WhoisClient(timeout=args.timeout, min_interval=args.rate)
     dataset = ingest.read_dataset(args.infile)
     cache = whois.WhoisCache(args.cache)
-    client = whois.WhoisClient(timeout=args.timeout, min_interval=args.rate)
     fetched = hits = failures = 0
     by_class: dict[str, int] = {}
     for row in dataset.rows:
@@ -86,7 +86,7 @@ def _cmd_whois_fetch(args) -> int:
             hits += 1
             continue
         try:
-            whois.fetch_or_cache(row.domain, cache, client)
+            cache.put(row.domain.raw, client.query(row.domain), dt.date.today())
             fetched += 1
         except whois.WhoisError as exc:
             failures += 1
@@ -293,9 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", "--whois-timeout", dest="timeout", type=float,
                    default=10.0,
                    help="seconds each exchange with a WHOIS server may take in all, "
-                        "from connect to the last byte")
+                        "from connect to the last byte; finite and above 0")
     p.add_argument("--rate", type=float, default=1.0,
-                   help="minimum seconds between queries to the same server")
+                   help="minimum seconds between queries to the same server; "
+                        "finite and at least 0")
     p.set_defaults(func=_cmd_whois_fetch)
 
     p = sub.add_parser("extract", help="compute the 17 features for every domain")

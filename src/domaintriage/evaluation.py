@@ -121,11 +121,8 @@ def split_dataset(
     dataset: LabeledDataset,
     train_fraction: float = 0.8,
     seed: int = 0,
-    stratified: bool = True,
 ) -> tuple[LabeledDataset, LabeledDataset]:
-    train_idx, test_idx = split_indices(
-        dataset.labels(), train_fraction, seed, stratified
-    )
+    train_idx, test_idx = split_indices(dataset.labels(), train_fraction, seed)
 
     def take(idx: np.ndarray) -> LabeledDataset:
         rows: list[DatasetRow] = [dataset.rows[i] for i in idx]

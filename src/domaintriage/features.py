@@ -4,8 +4,8 @@ Lexical features (f4..f11) come straight off the normalized name.
 WHOIS day-count features (f1..f3) are measured against an explicit
 reference date so extraction is reproducible; they are absent, not
 zero, when WHOIS data is missing.  TLD category (f12..f14) and
-registrar category (f15..f17) are one-hot encodings against editable
-lists shipped as JSON defaults.
+registrar category (f15..f17) are one-hot encodings against the lists
+packaged as ``data/tlds.json`` and ``data/registrars.json``.
 
 :func:`extract_matrix` computes the features of many domains at once;
 the lexical ones come from one numpy pass per block of names, equal bit
@@ -171,16 +171,9 @@ def shannon_entropy(text: str) -> float:
     return float(_lexical_matrix([text])[0, 1])
 
 
-def lexical_features(domain: Domain) -> dict[str, float]:
-    """Compute f4..f11 from the full normalized name."""
-    f4, f5, f6, f7, f8, f9, f10, f11 = _lexical_matrix([domain.raw])[0].tolist()
-    return {"f4": int(f4), "f5": f5, "f6": int(f6), "f7": int(f7), "f8": int(f8),
-            "f9": int(f9), "f10": f10, "f11": int(f11)}
-
-
-def tld_features(domain: Domain, lists: TldLists | None = None) -> tuple[int, int, int]:
+def tld_features(domain: Domain) -> tuple[int, int, int]:
     """One-hot TLD category: (generic, unknown, abused)."""
-    lists = lists or default_tld_lists()
+    lists = default_tld_lists()
     if domain.tld in lists.generic:
         return (1, 0, 0)
     if domain.tld in lists.abused:
@@ -222,20 +215,18 @@ def _canonicalize(raw: str, lists: RegistrarLists) -> str:
     return cleaned
 
 
-def registrar_features(
-    record: WhoisRecord | None, lists: RegistrarLists | None = None
-) -> tuple[int, int, int]:
+def registrar_features(record: WhoisRecord | None) -> tuple[int, int, int]:
     """One-hot registrar category of ``record.registrar_canonical``:
     (popular, not-popular, bad).
 
-    The name was canonicalized when the record was made; ``lists`` only
-    supplies the popular and bad lists.  All three are zero when the
+    The name was canonicalized when the record was made; this only looks
+    it up in the popular and bad lists.  All three are zero when the
     registrar is unknown; an unknown registrar is missing data, not
     evidence of a category.
     """
     if record is None or not record.registrar_canonical:
         return (0, 0, 0)
-    lists = lists or default_registrar_lists()
+    lists = default_registrar_lists()
     if record.registrar_canonical in lists.popular:
         return (1, 0, 0)
     if record.registrar_canonical in lists.bad:
@@ -268,8 +259,6 @@ def extract_matrix(
     domains: Sequence[Domain],
     records: Iterable[WhoisRecord | None],
     reference_date: dt.date,
-    tld_lists: TldLists | None = None,
-    registrar_lists: RegistrarLists | None = None,
 ) -> np.ndarray:
     """The (n, 17) float array of the features of ``domains``, f1..f17 in
     columns, with NaN where a feature is absent.
@@ -279,13 +268,10 @@ def extract_matrix(
     generator that parses each record only when it is needed.  Day
     counts are taken against ``reference_date``.
     """
-    tld_lists = tld_lists or default_tld_lists()
-    registrar_lists = registrar_lists or default_registrar_lists()
-
     def whois_values():
         for record in records:
             for v in (whois_age_features(record, reference_date)
-                      + registrar_features(record, registrar_lists)):
+                      + registrar_features(record)):
                 yield math.nan if v is None else v
 
     n = len(domains)
@@ -299,15 +285,13 @@ def extract_matrix(
     if n:
         x[:, [0, 1, 2, 14, 15, 16]] = whois.reshape(n, 6)
         x[:, 3:11] = _lexical_matrix([domain.raw for domain in domains])
-        x[:, 11:14] = [tld_features(domain, tld_lists) for domain in domains]
+        x[:, 11:14] = [tld_features(domain) for domain in domains]
     return x
 
 
 def extract_all(
     domain: Domain,
     whois_record: WhoisRecord | None = None,
-    tld_lists: TldLists | None = None,
-    registrar_lists: RegistrarLists | None = None,
     reference_date: dt.date | None = None,
 ) -> FeatureVector:
     """Assemble the full 17-feature vector for one domain: the one-row
@@ -318,5 +302,5 @@ def extract_all(
     """
     if reference_date is None:
         reference_date = dt.date.today()
-    row = extract_matrix([domain], [whois_record], reference_date, tld_lists, registrar_lists)
+    row = extract_matrix([domain], [whois_record], reference_date)
     return FeatureVector.from_row(row[0].tolist())

@@ -278,11 +278,10 @@ class FeatureTable:
                             self.y[idx], self.reference_date)
 
     @classmethod
-    def from_dataset(cls, dataset: LabeledDataset,
-                     reference_date: dt.date | None = None) -> "FeatureTable":
+    def from_dataset(cls, dataset: LabeledDataset) -> "FeatureTable":
         """The table of a dataset whose rows all carry features."""
         x, y = dataset.feature_matrix()
-        return cls([row.domain.raw for row in dataset.rows], x, y, reference_date)
+        return cls([row.domain.raw for row in dataset.rows], x, y)
 
 
 def _bad_cell(x: np.ndarray, blank: np.ndarray) -> tuple[int, int, str] | None:

@@ -71,7 +71,8 @@ class CorruptPayload(DomainTriageError):
 
 
 class InvalidHyperparameter(DomainTriageError):
-    """A training hyperparameter below its least usable value."""
+    """A training hyperparameter of the wrong type or out of its usable
+    range."""
 
 
 # --- standardization ------------------------------------------------------
@@ -563,7 +564,7 @@ class LogisticModel:
     @classmethod
     def from_payload(cls, obj: dict, width: int) -> "LogisticModel":
         loss = obj["final_loss"]
-        if type(loss) not in (int, float) or not math.isfinite(loss):
+        if not (_is_number(loss) and math.isfinite(loss)):
             raise CorruptPayload(f"lr final_loss must be a finite number, got {loss!r}")
         return cls(
             weights=_finite(obj["weights"], "lr weights", (width,)),
@@ -767,6 +768,32 @@ DEFAULT_PARAMS = {
 _PARAM_MINIMUMS = {"n_trees": 1, "max_depth": 0, "min_leaf": 1, "knn_k": 1, "lr_epochs": 0}
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is an int or a float; a bool is neither."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _param_error(params: dict) -> str | None:
+    """Why a set of hyperparameters is unusable, or None.  It must have
+    the keys of ``DEFAULT_PARAMS``; the integer ones must be ints at or
+    above their least usable value, and l2 and lr_rate finite numbers in
+    range."""
+    if params.keys() != DEFAULT_PARAMS.keys():
+        return f"hyperparameters must be {sorted(DEFAULT_PARAMS)}, got {sorted(params)}"
+    for name, least in _PARAM_MINIMUMS.items():
+        value = params[name]
+        if not (_is_number(value) and isinstance(value, int)):
+            return f"{name} must be an integer, got {value!r}"
+        if value < least:
+            return f"{name} must be at least {least}, got {value}"
+    l2, rate = params["l2"], params["lr_rate"]
+    if not (_is_number(l2) and math.isfinite(l2) and l2 >= 0):
+        return f"l2 must be finite and at least 0, got {l2!r}"
+    if not (_is_number(rate) and math.isfinite(rate) and rate > 0):
+        return f"lr_rate must be finite and above 0, got {rate!r}"
+    return None
+
+
 @dataclass
 class EnsembleModel:
     """Trained members (instances of the classes in :data:`MEMBERS`)
@@ -808,13 +835,9 @@ def train_ensemble(
     if unknown:
         raise ValueError(f"unknown hyperparameters: {sorted(unknown)}")
     params.update(overrides)
-    for name, least in _PARAM_MINIMUMS.items():
-        if params[name] < least:
-            raise InvalidHyperparameter(f"{name} must be at least {least}, got {params[name]}")
-    if not (math.isfinite(params["l2"]) and params["l2"] >= 0):
-        raise InvalidHyperparameter(f"l2 must be finite and at least 0, got {params['l2']}")
-    if not (math.isfinite(params["lr_rate"]) and params["lr_rate"] > 0):
-        raise InvalidHyperparameter(f"lr_rate must be finite and above 0, got {params['lr_rate']}")
+    error = _param_error(params)
+    if error:
+        raise InvalidHyperparameter(error)
     if not models:
         raise ValueError("need at least one member model")
     for i, kind in enumerate(models):
@@ -913,7 +936,12 @@ def _unpack(obj, dtype: str, ndim: int, what: str) -> np.ndarray:
 
 def _finite(value, what: str, shape: tuple) -> np.ndarray:
     """``value`` as a finite float array of ``shape``, in which None
-    stands for any length of at least 1; otherwise CorruptPayload."""
+    stands for any length of at least 1; otherwise CorruptPayload.
+    Unless ``value`` is already an array, it must be a JSON number or a
+    list of them."""
+    if not isinstance(value, np.ndarray) and not (
+            _is_number(value) or (isinstance(value, list) and all(map(_is_number, value)))):
+        raise CorruptPayload(f"{what} must be JSON numbers")
     arr = np.asarray(value, dtype=float)
     if arr.ndim != len(shape) or any(
         got < 1 if want is None else got != want for got, want in zip(arr.shape, shape)
@@ -976,6 +1004,9 @@ def deserialize_model(data: bytes) -> EnsembleModel:
             raise CorruptPayload(f"seed must be an integer, got {seed!r}")
         if not isinstance(params, dict):
             raise CorruptPayload(f"params must be an object, got {params!r}")
+        error = _param_error(params)
+        if error:
+            raise CorruptPayload(f"params: {error}")
         return EnsembleModel(
             members=members,
             selected_features=selected,

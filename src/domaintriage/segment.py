@@ -24,8 +24,7 @@ _WORD_RE = re.compile(r"^[a-z]+$")
 _SEPARATORS = re.compile(r"[.-]")
 
 
-def _read_words(path_or_text: str, is_text: bool = False) -> list[str]:
-    text = path_or_text if is_text else Path(path_or_text).read_text(encoding="utf-8")
+def _read_words(text: str) -> list[str]:
     words = []
     seen = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -83,16 +82,15 @@ class LanguageModel:
 
     @classmethod
     def from_files(cls, wordlist_path: str, boost_path: str | None = None) -> "LanguageModel":
-        words = _read_words(wordlist_path)
-        boosted = _read_words(boost_path) if boost_path else []
+        words = _read_words(Path(wordlist_path).read_text(encoding="utf-8"))
+        boosted = _read_words(Path(boost_path).read_text(encoding="utf-8")) if boost_path else []
         return cls(words=words, boosted=boosted)
 
     @classmethod
     def default(cls) -> "LanguageModel":
         base = resources.files("domaintriage.data").joinpath("wordlist.txt").read_text("utf-8")
         boost = resources.files("domaintriage.data").joinpath("boost.txt").read_text("utf-8")
-        return cls(words=_read_words(base, is_text=True),
-                   boosted=_read_words(boost, is_text=True))
+        return cls(words=_read_words(base), boosted=_read_words(boost))
 
 
 # a segmentation candidate: total cost, word count, then the words

@@ -76,10 +76,9 @@ class CorrelationMatrix:
 
     size: int
     values: list[list[float | None]]
-    feature_ids: list[int]
 
 
-def correlation_matrix(x, feature_ids: list[int] | None = None) -> CorrelationMatrix:
+def correlation_matrix(x) -> CorrelationMatrix:
     """Pairwise-complete Pearson matrix of the columns of ``x``.
 
     ``x`` is an (n, p) array where NaN marks absent values; for each
@@ -93,9 +92,6 @@ def correlation_matrix(x, feature_ids: list[int] | None = None) -> CorrelationMa
     n, p = x.shape
     if n < 2:
         raise TooFewSamples(f"need at least 2 rows, got {n}")
-    ids = list(range(p)) if feature_ids is None else list(feature_ids)
-    if len(ids) != p:
-        raise LengthMismatch(f"{p} columns but {len(ids)} feature ids")
     columns = np.ascontiguousarray(x.T)
     present = ~np.isnan(columns)
     values: list[list[float | None]] = [[None] * p for _ in range(p)]
@@ -108,38 +104,38 @@ def correlation_matrix(x, feature_ids: list[int] | None = None) -> CorrelationMa
                 r = _pearson(columns[i][mask], columns[j][mask])
             values[i][j] = r
             values[j][i] = r
-    return CorrelationMatrix(size=p, values=values, feature_ids=ids)
+    return CorrelationMatrix(size=p, values=values)
 
 
 def prune(matrix: CorrelationMatrix, threshold: float = 0.60) -> list[int]:
-    """Greedy correlation pruning.
+    """Greedy correlation pruning: the column positions kept.
 
-    Scans features in ascending index order and drops one iff |r| with
+    Scans columns in ascending position order and drops one iff |r| with
     some already-kept feature exceeds ``threshold``.  Constant columns
     (undefined diagonal) are always dropped; undefined off-diagonal
     cells are treated as uncorrelated.
     """
     if not (0.0 < threshold <= 1.0):
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    kept_pos: list[int] = []
+    kept: list[int] = []
     for pos in range(matrix.size):
         if matrix.values[pos][pos] is None:
             continue
         correlated = False
-        for other in kept_pos:
+        for other in kept:
             r = matrix.values[pos][other]
             if r is not None and abs(r) > threshold:
                 correlated = True
                 break
         if not correlated:
-            kept_pos.append(pos)
-    return [matrix.feature_ids[pos] for pos in kept_pos]
+            kept.append(pos)
+    return kept
 
 
 def write_matrix_csv(matrix: CorrelationMatrix, path: str) -> None:
-    """Export the matrix for external heat-map plotting; undefined
-    cells are left empty."""
-    names = [f"f{i + 1}" for i in matrix.feature_ids]
+    """Export the matrix for external heat-map plotting, its columns
+    named f1..fp; undefined cells are left empty."""
+    names = [f"f{i + 1}" for i in range(matrix.size)]
     with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([""] + names)

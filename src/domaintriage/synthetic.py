@@ -15,14 +15,7 @@ import datetime as dt
 
 import numpy as np
 
-from domaintriage.features import (
-    RegistrarLists,
-    TldLists,
-    canonicalize_registrar,
-    default_registrar_lists,
-    default_tld_lists,
-    extract_matrix,
-)
+from domaintriage.features import canonicalize_registrar, default_tld_lists, extract_matrix
 from domaintriage.model import (
     DatasetRow,
     Domain,
@@ -93,27 +86,21 @@ def _pick(rng: np.random.Generator, options: tuple[str, ...]) -> str:
     return options[int(rng.integers(0, len(options)))]
 
 
-def make_benchmark(
-    n_rows: int = 5000,
-    seed: int = DEFAULT_SEED,
-    reference_date: dt.date = DEFAULT_REFERENCE_DATE,
-    malicious_fraction: float = 0.5,
-    tld_lists: TldLists | None = None,
-    registrar_lists: RegistrarLists | None = None,
-) -> LabeledDataset:
-    """Generate the seeded labeled benchmark dataset.
+def make_benchmark(n_rows: int = 5000, seed: int = DEFAULT_SEED) -> LabeledDataset:
+    """Generate the seeded labeled benchmark dataset: the first
+    ``round(n_rows / 2)`` rows malicious, the rest benign, with WHOIS
+    dates measured from ``DEFAULT_REFERENCE_DATE``.
 
-    Deterministic for a given (n_rows, seed, reference_date); all rows
-    carry complete WHOIS-derived features.
+    Deterministic for a given (n_rows, seed); all rows carry complete
+    WHOIS-derived features.
     """
-    tld_lists = tld_lists or default_tld_lists()
-    registrar_lists = registrar_lists or default_registrar_lists()
-    generic = tuple(sorted(tld_lists.generic))
-    abused = tuple(sorted(tld_lists.abused))
+    tlds = default_tld_lists()
+    generic = tuple(sorted(tlds.generic))
+    abused = tuple(sorted(tlds.abused))
     words = LanguageModel.default().words[:800]
 
     rng = np.random.default_rng(seed)
-    n_malicious = round(n_rows * malicious_fraction)
+    n_malicious = round(n_rows / 2)
     labeled: list[tuple[Domain, int, WhoisRecord]] = []
     taken: set[str] = set()
 
@@ -159,25 +146,25 @@ def make_benchmark(
             else:
                 registrar = None
 
-        created = reference_date - dt.timedelta(days=lifetime)
-        expires = reference_date + dt.timedelta(days=int(rng.integers(30, 731)))
+        created = DEFAULT_REFERENCE_DATE - dt.timedelta(days=lifetime)
+        expires = DEFAULT_REFERENCE_DATE + dt.timedelta(days=int(rng.integers(30, 731)))
         updated = created + dt.timedelta(days=int(rng.integers(0, lifetime + 1)))
         record = WhoisRecord(
             domain=domain,
-            fetched_on=reference_date,
+            fetched_on=DEFAULT_REFERENCE_DATE,
             created=created,
             expires=expires,
             updated=updated,
             registrar_raw=registrar,
             registrar_canonical=(
-                canonicalize_registrar(registrar, registrar_lists)
+                canonicalize_registrar(registrar)
                 if registrar is not None else None
             ),
         )
         labeled.append((domain, label, record))
 
     domains, labels, records = zip(*labeled) if labeled else ((), (), ())
-    x = extract_matrix(domains, records, reference_date, tld_lists, registrar_lists)
+    x = extract_matrix(domains, records, DEFAULT_REFERENCE_DATE)
     return LabeledDataset(rows=[
         DatasetRow(domain=domain, label=label, source="synthetic",
                    features=FeatureVector.from_row(row))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import math
 import os
 import re
 import socket
@@ -19,7 +20,7 @@ import threading
 import time
 from functools import lru_cache
 
-from domaintriage.features import RegistrarLists, canonicalize_registrar
+from domaintriage.features import canonicalize_registrar
 from domaintriage.model import Domain, DomainTriageError, WhoisRecord
 
 PROXY_ENV_VAR = "DOMAINTRIAGE_WHOIS_PROXY"
@@ -212,7 +213,9 @@ class WhoisClient:
     environment variable) tunnels every connection through an HTTP
     CONNECT or SOCKS5 proxy.  ``timeout`` bounds each exchange as a
     whole, and a response over ``MAX_RESPONSE_BYTES`` raises
-    ``ResponseTooLarge``.
+    ``ResponseTooLarge``.  ``timeout`` must be finite and above 0, and
+    ``min_interval``, the least spacing of two queries to one server,
+    finite and at least 0; anything else raises ``ValueError``.
     """
 
     def __init__(
@@ -224,6 +227,10 @@ class WhoisClient:
         min_interval: float = 1.0,
         proxy: str | None = None,
     ):
+        if not (math.isfinite(timeout) and timeout > 0):
+            raise ValueError(f"timeout must be finite and above 0, got {timeout}")
+        if not (math.isfinite(min_interval) and min_interval >= 0):
+            raise ValueError(f"min_interval (--rate) must be finite and at least 0, got {min_interval}")
         self.server_map = dict(DEFAULT_SERVERS if server_map is None else server_map)
         self.iana_host = iana_host
         self.port = port
@@ -414,12 +421,7 @@ def _parse_whois_date(text: str) -> dt.date | None:
     return None
 
 
-def parse_whois(
-    raw: str,
-    domain: Domain,
-    fetched_on: dt.date,
-    registrar_lists: RegistrarLists | None = None,
-) -> WhoisRecord:
+def parse_whois(raw: str, domain: Domain, fetched_on: dt.date) -> WhoisRecord:
     """Pull dates and registrar out of a raw WHOIS response.
 
     For each field the first matching key wins; a value that does not
@@ -448,7 +450,7 @@ def parse_whois(
         expires = None
     canonical = None
     if registrar_raw is not None:
-        canonical = canonicalize_registrar(registrar_raw, registrar_lists)
+        canonical = canonicalize_registrar(registrar_raw)
     return WhoisRecord(
         domain=domain,
         fetched_on=fetched_on,
@@ -463,7 +465,7 @@ def parse_whois(
 # --- cache ---------------------------------------------------------------
 
 # what _cache_line raises for a bad line: RecursionError for JSON nested
-# deeper than the decoder's recursion limit
+# too deeply for the decoder, whose limit counts the caller's frames too
 _BAD_LINE = (KeyError, TypeError, ValueError, RecursionError)
 
 # the cache file is read in blocks of whole lines of about this many
@@ -598,22 +600,3 @@ class WhoisCache:
             fh.write(line)
         self._entries[domain_raw] = (raw, fetched_on)
 
-
-def fetch_or_cache(
-    domain: Domain,
-    cache: WhoisCache,
-    client: WhoisClient,
-    fetched_on: dt.date | None = None,
-    registrar_lists: RegistrarLists | None = None,
-) -> WhoisRecord:
-    """Return the parsed record for ``domain``, querying the network
-    only on a cache miss.  Query errors propagate and leave the cache
-    unchanged."""
-    hit = cache.get(domain.raw)
-    if hit is not None:
-        raw, cached_date = hit
-        return parse_whois(raw, domain, cached_date, registrar_lists)
-    raw = client.query(domain)
-    stamp = fetched_on or dt.date.today()
-    cache.put(domain.raw, raw, stamp)
-    return parse_whois(raw, domain, stamp, registrar_lists)

@@ -400,6 +400,58 @@ def test_whois_fetch_offline_failures_still_exit_zero(pipeline, capsys, tmp_path
     assert summary["failures"] == 2
     assert summary["failures_by_class"] == {"refused": 2}
     assert summary["fetched"] == 0
+    # a failed query caches nothing, so the cache file is never made
+    assert not Path(cache_path).exists()
+
+
+def test_whois_fetch_caches_responses_without_parsing_them(pipeline, capsys, tmp_path,
+                                                          monkeypatch):
+    from domaintriage import whois as whois_mod
+
+    def query(self, domain):
+        return f"Domain Name: {domain.raw}\r\nCreation Date: 2020-04-01\r\n"
+
+    def parse_whois(*args):
+        raise AssertionError("whois-fetch parsed a response it only caches")
+
+    monkeypatch.setattr(whois_mod.WhoisClient, "query", query)
+    monkeypatch.setattr(whois_mod, "parse_whois", parse_whois)
+    with open(pipeline["dataset"], newline="") as fh:
+        domains = [row["domain"] for row in csv.DictReader(fh)]
+    cache_path = tmp_path / "fresh.jsonl"
+    today = dt.date.today()
+    code, (summary,) = _run(capsys, "whois-fetch", "--in", pipeline["dataset"],
+                            "--cache", str(cache_path), "--rate", "0")
+    assert code == 0
+    assert (summary["fetched"], summary["cache_hits"], summary["failures"]) == (len(domains), 0, 0)
+    lines = [json.loads(line) for line in cache_path.read_text().splitlines()]
+    assert [(line["domain"], line["raw"]) for line in lines] == [
+        (d, f"Domain Name: {d}\r\nCreation Date: 2020-04-01\r\n") for d in domains]
+    assert {line["fetched_on"] for line in lines} <= {today.isoformat(),
+                                                      dt.date.today().isoformat()}
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--timeout", "inf"), ("--timeout", "nan"), ("--timeout", "0"), ("--timeout", "-1"),
+    ("--rate", "inf"), ("--rate", "nan"), ("--rate", "-1"),
+])
+def test_whois_fetch_rejects_unusable_timeout_and_rate(capsys, tmp_path, monkeypatch,
+                                                       flag, value):
+    # should a bad value get through, its queries still stay on this host
+    from domaintriage import whois as whois_mod
+    monkeypatch.setattr(whois_mod, "DEFAULT_SERVERS", {"com": "127.0.0.1"})
+    monkeypatch.delenv(whois_mod.PROXY_ENV_VAR, raising=False)
+
+    small = tmp_path / "small.csv"
+    small.write_text("domain,label,source,first_seen\nx.com,0,t,\n")
+    cache_path = tmp_path / "cc.jsonl"
+    argv = ["whois-fetch", "--in", str(small), "--cache", str(cache_path), "--rate", "0",
+            "--timeout", "0.4", flag, value]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not cache_path.exists()
 
 
 def test_predict_batch_lines_equal_single_lines(pipeline, capsys, tmp_path):

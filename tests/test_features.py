@@ -17,7 +17,6 @@ from domaintriage.features import (
     default_tld_lists,
     extract_all,
     extract_matrix,
-    lexical_features,
     registrar_features,
     shannon_entropy,
     tld_features,
@@ -61,8 +60,14 @@ def test_entropy_matches_definition_on_random_strings():
         assert abs(shannon_entropy(text) - entropy_definitional(text)) < 1e-12
 
 
+def _lexical(raw):
+    """f4..f11 of ``raw`` by name, as ``extract_all`` gives them."""
+    row = extract_all(parse_domain(raw), reference_date=REF).to_row()
+    return dict(zip(("f4", "f5", "f6", "f7", "f8", "f9", "f10", "f11"), row[3:11]))
+
+
 def test_lexical_features_hand_case():
-    feats = lexical_features(parse_domain("covid19.com"))
+    feats = _lexical("covid19.com")
     assert feats["f4"] == 1
     assert feats["f6"] == 11
     assert feats["f7"] == 2
@@ -73,7 +78,7 @@ def test_lexical_features_hand_case():
 
 
 def test_lexical_features_hyphens_and_dots():
-    feats = lexical_features(parse_domain("a-b-c.co.uk"))
+    feats = _lexical("a-b-c.co.uk")
     assert feats["f4"] == 2
     assert feats["f8"] == 2
     assert feats["f6"] == 11
@@ -89,7 +94,7 @@ def test_lexical_features_random_recount():
         if not label:
             continue
         raw = label + "." + rng.choice(["com", "top", "io"])
-        feats = lexical_features(parse_domain(raw))
+        feats = _lexical(raw)
         assert feats["f4"] == raw.count(".")
         assert feats["f6"] == len(raw)
         assert feats["f7"] == sum(raw.count(c) for c in "0123456789")

@@ -20,6 +20,7 @@ from domaintriage.learn import (
     EmptyTrainSet,
     EmptyVotes,
     FeatureDimensionMismatch,
+    InvalidHyperparameter,
     LogisticModel,
     NearestNeighbors,
     NonFiniteLoss,
@@ -1025,7 +1026,34 @@ _CORRUPT_FIELDS = {
     "seed fractional": lambda p: p.update(seed=1.9),
     "seed a bool": lambda p: p.update(seed=True),
     "params a list of pairs": lambda p: p.update(params=[["x", 1]]),
+    "medians a numeric string": lambda p: p["standardizer"]["medians"].__setitem__(0, "1"),
+    "means a bool": lambda p: p["standardizer"]["means"].__setitem__(1, True),
+    "stds nested": lambda p: p["standardizer"]["stds"].__setitem__(1, [1.0]),
+    "lr weight a bool": lambda p: _member_of(p, "lr")["weights"].__setitem__(0, False),
+    "lr bias a numeric string": lambda p: _member_of(p, "lr").update(bias="0.5"),
+    "lr bias a bool": lambda p: _member_of(p, "lr").update(bias=True),
+    "params empty": lambda p: p.update(params={}),
+    "params n_trees nan": lambda p: p["params"].update(n_trees=float("nan")),
+    "params max_depth a bool": lambda p: p["params"].update(max_depth=True),
+    "params knn_k fractional": lambda p: p["params"].update(knn_k=5.0),
+    "params l2 a string": lambda p: p["params"].update(l2="0.0001"),
+    "params missing l2": lambda p: p["params"].pop("l2"),
+    "params an extra key": lambda p: p["params"].update(n_jobs=1),
+    "params min_leaf below 1": lambda p: p["params"].update(min_leaf=0),
+    "params l2 negative": lambda p: p["params"].update(l2=-1e-4),
+    "params lr_rate infinite": lambda p: p["params"].update(lr_rate=float("inf")),
 }
+
+
+@pytest.mark.parametrize("override", [
+    {"max_depth": 3.5}, {"min_leaf": True}, {"knn_k": 3.0}, {"l2": "0.1"}, {"lr_rate": False},
+])
+def test_train_rejects_hyperparameters_the_loader_refuses(override):
+    # the loader and train_ensemble check params with the same rules, so
+    # every model train_ensemble returns can be written and read back
+    x, y = _raw17(seed=62)
+    with pytest.raises(InvalidHyperparameter):
+        train_ensemble(x, y, [0, 4, 9], seed=0, n_trees=3, **override)
 
 
 @pytest.mark.parametrize("edit", _CORRUPT_FIELDS.values(), ids=_CORRUPT_FIELDS.keys())

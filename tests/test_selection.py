@@ -191,13 +191,6 @@ def test_prune_threshold_validation():
         prune(m, 1.5)
 
 
-def test_prune_respects_feature_ids():
-    x = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.5]])
-    m = correlation_matrix(x, feature_ids=[4, 9])
-    kept = prune(m, 0.60)
-    assert kept == [4]
-
-
 def test_post_prune_no_kept_pair_exceeds_threshold():
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -223,7 +216,7 @@ def test_presets():
 
 def test_write_matrix_csv(tmp_path):
     x = np.array([[1.0, 7.0], [2.0, 7.0], [3.0, 7.0]])
-    m = correlation_matrix(x, feature_ids=[0, 1])
+    m = correlation_matrix(x)
     out = tmp_path / "matrix.csv"
     write_matrix_csv(m, str(out))
     with open(out, newline="") as fh:

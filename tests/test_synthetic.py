@@ -59,5 +59,5 @@ def test_benchmark_class_signal():
 def test_benchmark_default_parameters():
     assert DEFAULT_SEED == 20200516
     assert DEFAULT_REFERENCE_DATE.isoformat() == "2020-05-16"
-    ds = make_benchmark(n_rows=100, malicious_fraction=0.3)
-    assert sum(ds.labels()) == 30
+    ds = make_benchmark(n_rows=100)
+    assert ds.labels() == [1] * 50 + [0] * 50

@@ -27,7 +27,6 @@ from domaintriage.whois import (
     _RateLimiter,
     _strptime_date,
     _strptime_pattern,
-    fetch_or_cache,
     parse_whois,
 )
 from oracles import WHOIS_DATE_FORMATS, whois_cache_per_line, whois_date_every_format
@@ -209,7 +208,7 @@ def test_response_size_cap(tmp_path, stub):
     assert len(client.query(parse_domain("full.com"))) == MAX_RESPONSE_BYTES
     cache = WhoisCache(str(tmp_path / "c.jsonl"))
     with pytest.raises(ResponseTooLarge):
-        fetch_or_cache(parse_domain("over.com"), cache, client)
+        cache.put("over.com", client.query(parse_domain("over.com")), TODAY)
     assert len(cache) == 0
     assert not (tmp_path / "c.jsonl").exists()
 
@@ -538,12 +537,14 @@ def test_parse_whois_date_out_of_range_instant_is_absent(text):
     assert rec.updated == dt.date(2020, 1, 2)
 
 
-def test_fetch_or_cache_out_of_range_date(tmp_path, stub):
+def test_fetched_out_of_range_date_is_cached_and_parses_absent(tmp_path, stub):
     stub.responses["old.com"] = "Creation Date: 0001-01-01T00:00:00+01:00\r\n"
-    cache = WhoisCache(str(tmp_path / "c.jsonl"))
-    rec = fetch_or_cache(parse_domain("old.com"), cache, _client(stub), fetched_on=TODAY)
-    assert rec.created is None
-    assert WhoisCache(str(tmp_path / "c.jsonl")).get("old.com") is not None
+    domain = parse_domain("old.com")
+    raw = _client(stub).query(domain)
+    WhoisCache(str(tmp_path / "c.jsonl")).put(domain.raw, raw, TODAY)
+    hit = WhoisCache(str(tmp_path / "c.jsonl")).get("old.com")
+    assert hit == (raw, TODAY)
+    assert parse_whois(hit[0], domain, hit[1]).created is None
 
 
 def test_parse_whois_paid_till_layout():
@@ -959,34 +960,3 @@ def test_cache_rejects_future_date(tmp_path):
     cache = WhoisCache(str(tmp_path / "c.jsonl"))
     with pytest.raises(ValueError):
         cache.put("x.com", "raw", dt.date.today() + dt.timedelta(days=2))
-
-
-# --- fetch_or_cache ---------------------------------------------------------
-
-def test_fetch_or_cache_miss_then_hit(tmp_path, stub):
-    stub.responses["fresh.com"] = VERISIGN_STYLE.replace("EXAMPLE.COM", "FRESH.COM")
-    cache = WhoisCache(str(tmp_path / "c.jsonl"))
-    client = _client(stub)
-    domain = parse_domain("fresh.com")
-    rec = fetch_or_cache(domain, cache, client, fetched_on=TODAY)
-    assert rec.created == dt.date(2020, 4, 1)
-    assert rec.fetched_on == TODAY
-    assert stub.queries == ["fresh.com"]
-    # second call is served from the cache: no new network query
-    rec2 = fetch_or_cache(domain, cache, client, fetched_on=TODAY)
-    assert rec2 == rec
-    assert stub.queries == ["fresh.com"]
-
-
-def test_fetch_or_cache_error_leaves_cache_empty(tmp_path):
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    dead_port = probe.getsockname()[1]
-    probe.close()
-    cache = WhoisCache(str(tmp_path / "c.jsonl"))
-    client = WhoisClient(server_map={"com": "127.0.0.1"}, port=dead_port,
-                         timeout=0.5, min_interval=0.0)
-    with pytest.raises(WhoisConnectionRefused):
-        fetch_or_cache(parse_domain("gone.com"), cache, client)
-    assert len(cache) == 0
-    assert not (tmp_path / "c.jsonl").exists()
