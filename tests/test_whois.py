@@ -960,3 +960,20 @@ def test_cache_rejects_future_date(tmp_path):
     cache = WhoisCache(str(tmp_path / "c.jsonl"))
     with pytest.raises(ValueError):
         cache.put("x.com", "raw", dt.date.today() + dt.timedelta(days=2))
+
+
+def test_fetch_or_cache_error_leaves_cache_empty(tmp_path):
+    # whois-fetch caches a response only once client.query returns it
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    dead_port = probe.getsockname()[1]
+    probe.close()
+    cache = WhoisCache(str(tmp_path / "c.jsonl"))
+    client = WhoisClient(server_map={"com": "127.0.0.1"}, port=dead_port,
+                         timeout=0.5, min_interval=0.0)
+    domain = parse_domain("gone.com")
+    with pytest.raises(WhoisConnectionRefused):
+        cache.put(domain.raw, client.query(domain), TODAY)
+    assert len(cache) == 0
+    assert "gone.com" not in cache
+    assert not (tmp_path / "c.jsonl").exists()
