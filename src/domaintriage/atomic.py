@@ -38,8 +38,9 @@ def atomic_write(path: str, mode: str = "w", **kwargs):
     tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
     try:
         fh = open(tmp, mode.replace("w", "x"), **kwargs)
-    except FileNotFoundError as exc:
-        raise FileNotFoundError(exc.errno, exc.strerror, path) from None
+    except OSError as exc:
+        # name the output, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with fh:
             yield fh

@@ -3,8 +3,10 @@
 Pipeline stages communicate through files so every intermediate is
 auditable: ingest → whois-fetch → extract → select → train →
 evaluate/predict, plus segment for keyword splitting.  Summaries go to
-stdout as JSON; exit codes are 0 success, 1 runtime failure, 2 usage
-or schema error.
+stdout as JSON.  The exit code is 0 on success, and otherwise the
+``exit_code`` of the DomainTriageError raised (2 for a UsageError, 1
+for any other), or 2 for a path that cannot be opened.  Any other
+exception is a bug, and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from domaintriage.features import extract_all, extract_matrix  # noqa: F401
 from domaintriage.model import (
     FEATURE_NAMES,
     DomainTriageError,
+    UsageError,
     parse_domain,
 )
 from domaintriage.segment import LanguageModel, segment_keywords
@@ -36,6 +39,16 @@ def _parse_date(text: str) -> dt.date:
         return dt.date.fromisoformat(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an ISO date (YYYY-MM-DD): {text!r}")
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return value
 
 
 def _parse_feed(text: str) -> ingest.FeedSpec:
@@ -141,7 +154,7 @@ def _cmd_select(args) -> int:
         threshold = None
     else:
         if not args.infile:
-            raise SystemExit2("--in is required unless --preset is given")
+            raise UsageError("--in is required unless --preset is given")
         matrix = selection.correlation_matrix(ingest.read_features(args.infile).x)
         if args.matrix_out:
             selection.write_matrix_csv(matrix, args.matrix_out)
@@ -171,6 +184,8 @@ def _read_selection(path: str) -> list[int]:
         raise ingest.SchemaMismatch(f"{path}: selection indices must be JSON integers")
     if not indices or any(i < 0 or i >= len(FEATURE_NAMES) for i in indices):
         raise ingest.SchemaMismatch(f"{path}: selection indices out of range")
+    if len(set(indices)) != len(indices):
+        raise ingest.SchemaMismatch(f"{path}: selection indices repeat")
     return indices
 
 
@@ -238,7 +253,7 @@ def _cmd_predict(args) -> int:
         try:
             domains = [parse_domain(args.domain)]
         except DomainTriageError as exc:
-            raise SystemExit2(f"--domain: {exc}") from exc
+            raise UsageError(f"--domain: {exc}") from exc
     else:
         feed = ingest.load_feed(ingest.FeedSpec(path=args.infile, label=0, source="predict"))
         if feed.skipped:
@@ -261,10 +276,6 @@ def _cmd_segment(args) -> int:
     words = segment_keywords(args.word.strip().lower(), model)
     _emit({"word": args.word, "keywords": words})
     return 0
-
-
-class SystemExit2(DomainTriageError):
-    """Usage error detected after argparse (exit code 2)."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--selection", required=True, help="selection JSON from `select`")
     p.add_argument("--models", default=",".join(learn.DEFAULT_MODELS),
                    help="comma list from rf,dt,knn,lr")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--split", type=float, default=0.8, help="training fraction")
     p.add_argument("--no-stratify", action="store_true",
                    help="plain random split instead of per-class")
@@ -373,17 +384,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        filename = exc.filename if exc.filename else exc
-        print(f"error: file not found: {filename}", file=sys.stderr)
-        return 2
-    except (ingest.SchemaMismatch, ingest.InvalidRange, learn.InvalidHyperparameter,
-            SystemExit2, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DomainTriageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
+    except OSError as exc:
+        # a path that cannot be opened; an OSError that names no file is
+        # not about an argument, so it stays a traceback
+        if exc.filename is None:
+            raise
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

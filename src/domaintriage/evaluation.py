@@ -17,7 +17,7 @@ import numpy as np
 
 from domaintriage.atomic import atomic_write
 from domaintriage.learn import EnsembleModel, combine_votes, votes
-from domaintriage.model import DatasetRow, DomainTriageError, LabeledDataset
+from domaintriage.model import DatasetRow, DomainTriageError, LabeledDataset, UsageError
 from domaintriage.selection import LengthMismatch
 
 
@@ -97,7 +97,7 @@ def split_indices(
     if n < 2:
         raise ClassTooSmall(f"need at least 2 rows, got {n}")
     if not (0.0 < train_fraction < 1.0):
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+        raise UsageError(f"train_fraction must be in (0, 1), got {train_fraction}")
     rng = np.random.default_rng(seed)
     if not stratified:
         perm = rng.permutation(n)

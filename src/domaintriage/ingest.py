@@ -29,6 +29,7 @@ from domaintriage.atomic import atomic_write
 from domaintriage.model import (
     DatasetRow,
     DomainTriageError,
+    UsageError,
     LabeledDataset,
     FEATURE_NAMES,
     normalize_domain,
@@ -36,11 +37,11 @@ from domaintriage.model import (
 )
 
 
-class SchemaMismatch(DomainTriageError):
+class SchemaMismatch(UsageError):
     """A file does not have the layout its reader requires."""
 
 
-class InvalidRange(DomainTriageError):
+class InvalidRange(UsageError):
     """A date window whose lower bound is after its upper bound."""
 
 

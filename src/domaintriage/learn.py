@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from domaintriage.model import FEATURE_NAMES, DomainTriageError, FeatureVector
+from domaintriage.model import FEATURE_NAMES, DomainTriageError, FeatureVector, UsageError
 
 FORMAT_VERSION = 3
 
@@ -70,7 +70,7 @@ class CorruptPayload(DomainTriageError):
     """Serialized model bytes that cannot be decoded."""
 
 
-class InvalidHyperparameter(DomainTriageError):
+class InvalidHyperparameter(UsageError):
     """A training hyperparameter of the wrong type or out of its usable
     range."""
 
@@ -706,7 +706,7 @@ class NearestNeighbors:
     @classmethod
     def fit(cls, x, y, params: dict, seed: int) -> "NearestNeighbors":
         if not (1 <= params["knn_k"] <= len(x)):
-            raise ValueError(f"knn_k must be in 1..{len(x)}")
+            raise UsageError(f"knn_k must be in 1..{len(x)}")
         return cls(x.copy(), y.copy(), params["knn_k"])
 
     def scores(self, x) -> np.ndarray:
@@ -830,28 +830,24 @@ def train_ensemble(
     Hyperparameter overrides: n_trees, max_depth, min_leaf, knn_k, l2,
     lr_rate, lr_epochs.
     """
-    params = dict(DEFAULT_PARAMS)
-    unknown = set(overrides) - set(params)
-    if unknown:
-        raise ValueError(f"unknown hyperparameters: {sorted(unknown)}")
-    params.update(overrides)
+    params = {**DEFAULT_PARAMS, **overrides}
     error = _param_error(params)
     if error:
         raise InvalidHyperparameter(error)
     if not models:
-        raise ValueError("need at least one member model")
+        raise UsageError("need at least one member model")
     for i, kind in enumerate(models):
         if kind not in MEMBERS:
-            raise ValueError(f"unknown model kind {kind!r}")
+            raise UsageError(f"unknown model kind {kind!r}")
         if kind in models[:i]:
-            raise ValueError(f"model kind {kind!r} given more than once")
+            raise UsageError(f"model kind {kind!r} given more than once")
     x17 = np.asarray(x17, dtype=float)
     y = np.asarray(y, dtype=int)
     if len(x17) == 0:
         raise EmptyData("no rows to train on")
     sel = list(selected_features)
     if not sel or len(set(sel)) != len(sel):
-        raise ValueError("selected_features must be non-empty and unique")
+        raise UsageError("selected_features must be non-empty and unique")
     if min(sel) < 0 or max(sel) >= x17.shape[1]:
         raise FeatureDimensionMismatch(
             f"selected feature index out of range for {x17.shape[1]} columns"

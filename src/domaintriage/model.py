@@ -14,7 +14,18 @@ from dataclasses import dataclass, field
 
 
 class DomainTriageError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.  ``exit_code``
+    is the command line's exit status for it: 1, a runtime failure."""
+
+    exit_code = 1
+
+
+class UsageError(DomainTriageError, ValueError):
+    """An option, or a file that one names, is unusable (exit code 2).
+    It is also a ``ValueError``, so a library caller's ``except
+    ValueError`` catches it."""
+
+    exit_code = 2
 
 
 class EmptyInput(DomainTriageError):

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from domaintriage.model import UsageError
+
 _WORD_RE = re.compile(r"^[a-z]+$")
 _SEPARATORS = re.compile(r"[.-]")
 
@@ -32,12 +34,21 @@ def _read_words(text: str) -> list[str]:
         if not word:
             continue
         if not _WORD_RE.match(word):
-            raise ValueError(f"line {lineno}: {word!r} is not lowercase a-z")
+            raise UsageError(f"line {lineno}: {word!r} is not lowercase a-z")
         if word in seen:
-            raise ValueError(f"line {lineno}: duplicate word {word!r}")
+            raise UsageError(f"line {lineno}: duplicate word {word!r}")
         seen.add(word)
         words.append(word)
     return words
+
+
+def _read_word_file(path: str) -> list[str]:
+    """:func:`_read_words` of the UTF-8 file at ``path``; a file that is
+    not UTF-8 or holds a bad word raises a UsageError naming ``path``."""
+    try:
+        return _read_words(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, UsageError) as exc:
+        raise UsageError(f"{path}: {exc}") from exc
 
 
 @dataclass
@@ -55,13 +66,13 @@ class LanguageModel:
     def __post_init__(self):
         boost_set = set(self.boosted)
         if len(boost_set) != len(self.boosted):
-            raise ValueError("duplicate words in boost list")
+            raise UsageError("duplicate words in boost list")
         vocab = list(self.boosted) + [w for w in self.words if w not in boost_set]
         if len(set(vocab)) != len(vocab):
-            raise ValueError("duplicate words in base list")
+            raise UsageError("duplicate words in base list")
         for w in vocab:
             if not _WORD_RE.match(w):
-                raise ValueError(f"{w!r} is not lowercase a-z")
+                raise UsageError(f"{w!r} is not lowercase a-z")
         n = len(vocab)
         scale = math.log(n + 1)
         self._cost = {w: math.log(rank * scale) for rank, w in enumerate(vocab, start=1)}
@@ -82,8 +93,8 @@ class LanguageModel:
 
     @classmethod
     def from_files(cls, wordlist_path: str, boost_path: str | None = None) -> "LanguageModel":
-        words = _read_words(Path(wordlist_path).read_text(encoding="utf-8"))
-        boosted = _read_words(Path(boost_path).read_text(encoding="utf-8")) if boost_path else []
+        words = _read_word_file(wordlist_path)
+        boosted = _read_word_file(boost_path) if boost_path else []
         return cls(words=words, boosted=boosted)
 
     @classmethod

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from domaintriage.atomic import atomic_write
-from domaintriage.model import DomainTriageError
+from domaintriage.model import DomainTriageError, UsageError
 
 
 class LengthMismatch(DomainTriageError):
@@ -116,7 +116,7 @@ def prune(matrix: CorrelationMatrix, threshold: float = 0.60) -> list[int]:
     cells are treated as uncorrelated.
     """
     if not (0.0 < threshold <= 1.0):
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+        raise UsageError(f"threshold must be in (0, 1], got {threshold}")
     kept: list[int] = []
     for pos in range(matrix.size):
         if matrix.values[pos][pos] is None:

@@ -21,7 +21,7 @@ import time
 from functools import lru_cache
 
 from domaintriage.features import canonicalize_registrar
-from domaintriage.model import Domain, DomainTriageError, WhoisRecord
+from domaintriage.model import Domain, DomainTriageError, UsageError, WhoisRecord
 
 PROXY_ENV_VAR = "DOMAINTRIAGE_WHOIS_PROXY"
 
@@ -137,7 +137,7 @@ class _RateLimiter:
 def _parse_proxy(value: str) -> tuple[str, str, int]:
     m = re.match(r"^(socks5|http)://([^:/]+):(\d+)/?$", value.strip())
     if not m:
-        raise ValueError(
+        raise UsageError(
             f"proxy must look like socks5://host:port or http://host:port, got {value!r}"
         )
     return m.group(1), m.group(2), int(m.group(3))
@@ -192,6 +192,8 @@ def _connect_via_socks5(proxy_host: str, proxy_port: int, host: str, port: int,
         if reply != b"\x05\x00":
             raise WhoisConnectionRefused("SOCKS5 proxy rejected the handshake")
         name = host.encode("idna")
+        if len(name) > 255:
+            raise WhoisConnectionRefused(f"{host}: name too long for SOCKS5")
         sock.sendall(b"\x05\x01\x00\x03" + bytes([len(name)]) + name
                      + port.to_bytes(2, "big"))
         sock.settimeout(_time_left(deadline))
@@ -228,9 +230,9 @@ class WhoisClient:
         proxy: str | None = None,
     ):
         if not (math.isfinite(timeout) and timeout > 0):
-            raise ValueError(f"timeout must be finite and above 0, got {timeout}")
+            raise UsageError(f"timeout must be finite and above 0, got {timeout}")
         if not (math.isfinite(min_interval) and min_interval >= 0):
-            raise ValueError(f"min_interval (--rate) must be finite and at least 0, got {min_interval}")
+            raise UsageError(f"min_interval (--rate) must be finite and at least 0, got {min_interval}")
         self.server_map = dict(DEFAULT_SERVERS if server_map is None else server_map)
         self.iana_host = iana_host
         self.port = port
@@ -251,7 +253,9 @@ class WhoisClient:
             raise WhoisTimeout(f"{host}: connect timed out after {self.timeout}s") from exc
         except ConnectionRefusedError as exc:
             raise WhoisConnectionRefused(f"{host}: connection refused") from exc
-        except socket.gaierror as exc:
+        # a name the IDNA codec refuses (an empty label, or one over 63
+        # characters, as a referral may give) is a UnicodeError
+        except (socket.gaierror, UnicodeError) as exc:
             raise WhoisConnectionRefused(f"{host}: cannot resolve host") from exc
         except OSError as exc:
             raise WhoisConnectionRefused(f"{host}: {exc}") from exc

@@ -505,8 +505,9 @@ def test_predict_batch_lines_equal_single_lines(pipeline, capsys, tmp_path):
     ('[0, 1]', "bad selection file"),
     ('{"indices": []}', "out of range"),
     ('{"indices": [17]}', "out of range"),
+    ('{"indices": [0, 0]}', "bad_selection.json: selection indices repeat"),
 ], ids=["nested", "overflow", "fraction", "bool", "string", "string-list", "scalar",
-        "not-an-object", "empty", "past-the-end"])
+        "not-an-object", "empty", "past-the-end", "repeated"])
 def test_train_rejects_bad_selection_file(pipeline, capsys, text, why):
     sel = pipeline["tmp"] / "bad_selection.json"
     sel.write_text(text, encoding="utf-8")
@@ -538,3 +539,49 @@ def test_cache_line_nested_too_deep_exits_1(pipeline, capsys, tmp_path, command)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: {cache}:2: bad cache line" in captured.err
+
+
+@pytest.mark.parametrize("command", ["predict --model", "train --selection",
+                                     "select --in", "select --out"])
+def test_path_that_is_a_directory_is_a_usage_error(pipeline, capsys, command):
+    directory = pipeline["tmp"] / "a-directory"
+    directory.mkdir()
+    sel = pipeline["tmp"] / "sel.json"
+    sel.write_text(json.dumps({"indices": [4, 5, 9]}))
+    args = {
+        "predict": ["--model", str(sel), "--domain", "a.com"],
+        "train": ["--in", pipeline["features"], "--selection", str(sel),
+                  "--out", str(pipeline["tmp"] / "m.json")],
+        "select": ["--in", pipeline["features"], "--out", str(pipeline["tmp"] / "s.json")],
+    }
+    name, flag = command.split()
+    argv = args[name]
+    argv[argv.index(flag) + 1] = str(directory)
+    capsys.readouterr()
+    assert main([name] + argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {directory}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+def test_train_rejects_a_seed_that_is_not_a_non_negative_integer(tmp_path, capsys, seed):
+    # argparse rejects the seed before any file is read
+    model = tmp_path / "model.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--in", "unread.csv", "--selection", "unread.json",
+              "--out", str(model), "--seed", seed])
+    assert exc.value.code == 2
+    assert f"argument --seed: not a non-negative integer: '{seed}'" in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_output_name_too_long_is_a_usage_error_naming_the_output(tmp_path, capsys):
+    # the temporary file beside the output has the longer name, and fails
+    # first; the error names the output the user gave
+    out = tmp_path / ("s" * 250 + ".json")
+    assert main(["select", "--preset", "paper-d1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {out}: ") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []

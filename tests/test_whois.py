@@ -424,6 +424,59 @@ def test_parse_proxy_strings():
             _parse_proxy(bad)
 
 
+@pytest.mark.parametrize("host, via_socks5", [
+    ("whois..example", False), ("a" * 64 + ".example", False),
+    ("whois..example", True), ("a" * 64 + ".example", True), ("a." * 130 + "example", True),
+], ids=["empty-label", "long-label", "socks5-empty-label", "socks5-long-label",
+        "socks5-long-name"])
+def test_host_that_cannot_be_named_is_refused(host, via_socks5):
+    # the IDNA codec refuses an empty label or one over 63 characters
+    # before any name lookup, so nothing leaves this host; the last name
+    # encodes, but is longer than the 255 bytes SOCKS5 can carry
+    proxy = Socks5ProxyStub() if via_socks5 else None
+    try:
+        client = WhoisClient(server_map={"top": host}, timeout=2.0, min_interval=0.0,
+                             proxy=f"socks5://127.0.0.1:{proxy.port}" if proxy else None)
+        with pytest.raises(WhoisConnectionRefused, match=re.escape(host)) as exc:
+            client.query(parse_domain("cheap.top"))
+        assert exc.value.kind == "refused"
+    finally:
+        if proxy:
+            proxy.close()
+
+
+def test_whois_fetch_counts_a_bad_referral_and_goes_on(stub, tmp_path, capsys, monkeypatch):
+    # IANA refers the "bad" TLD to a host name with an empty label; its
+    # domains fail as "refused", and the domain between them is fetched
+    from domaintriage.cli import main
+
+    stub.responses["bad"] = "% IANA WHOIS server\nrefer: whois..example\n"
+    stub.responses["good.com"] = VERISIGN_STYLE
+
+    class StubClient(WhoisClient):
+        def __init__(self, **kwargs):
+            super().__init__(server_map={"com": "127.0.0.1"}, iana_host="127.0.0.1",
+                             port=stub.port, **kwargs)
+
+    monkeypatch.setattr(whois_mod, "WhoisClient", StubClient)
+    monkeypatch.delenv(PROXY_ENV_VAR, raising=False)
+    dataset = tmp_path / "dataset.csv"
+    dataset.write_text("domain,label,source,first_seen\n"
+                       "a.bad,1,t,\ngood.com,0,t,\nb.bad,1,t,\n")
+    cache_path = tmp_path / "cache.jsonl"
+    code = main(["whois-fetch", "--in", str(dataset), "--cache", str(cache_path),
+                 "--rate", "0", "--timeout", "2"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    (summary,) = [json.loads(line) for line in out.splitlines()]
+    assert (summary["fetched"], summary["failures"]) == (1, 2)
+    assert summary["failures_by_class"] == {"refused": 2}
+    assert stub.queries == ["bad", "good.com"]
+    assert err == ("a.bad: whois..example: cannot resolve host\n"
+                   "b.bad: whois..example: cannot resolve host\n")
+    assert list(WhoisCache(str(cache_path))._entries) == ["good.com"]
+
+
 # --- response parsing -------------------------------------------------------
 
 def test_parse_whois_verisign_style():
