@@ -27,6 +27,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,10 +175,12 @@ class Tree:
         return cls(feature=feature, right=right, value=value)
 
 
-# (row, drawn feature) keys, and count bins, in one chunk of the split
-# search; together they bound the search's temporaries whatever the
-# forest size
-_SPLIT_KEYS = 1 << 14
+# (distinct row, drawn feature) keys, and count bins, in one chunk of
+# the split search.  Each chunk pays a fixed cost in numpy calls, so
+# fewer, larger chunks are faster; these bounds keep a chunk's
+# temporaries to a few MB (while counting, 16 bytes per key and per
+# bin) whatever the forest size
+_SPLIT_KEYS = 1 << 16
 _SPLIT_BINS = 4 * _SPLIT_KEYS
 
 
@@ -206,22 +209,27 @@ def train_random_forest(
 
     ``max_features`` defaults to ceil(sqrt(p)).  Tree i draws all its
     randomness from ``default_rng(seed + i)``: first its bootstrap
-    sample, then, at each node it tries to split, in preorder, a sorted
-    subset of ``max_features`` features (every feature, with no draw,
-    when ``max_features >= p``).  A node stays a leaf when it is pure,
-    at ``max_depth``, or has fewer than ``2 * min_leaf`` rows.
-    Otherwise its split is the (feature, threshold) of least weighted
-    Gini impurity, where a threshold is the midpoint between two
-    consecutive distinct values of the node's rows that keeps at least
-    ``min_leaf`` rows on each side; ties go to the earlier feature, then
-    the lower threshold.
+    sample of n rows, then, at each node it tries to split, in preorder,
+    a sorted subset of ``max_features`` features (every feature, with no
+    draw, when ``max_features >= p``).  A row drawn several times counts
+    that many times.  A node stays a leaf when it is pure, at
+    ``max_depth``, or has fewer than ``2 * min_leaf`` rows.  Otherwise
+    its split is the (feature, threshold) of least weighted Gini
+    impurity, where a threshold is the midpoint between two consecutive
+    distinct values of the node's rows that keeps at least ``min_leaf``
+    rows on each side; ties go to the earlier feature, then the lower
+    threshold.
 
+    Each tree keeps its sample as its distinct rows, each with its
+    multiplicity (the number of times it was drawn), so the split
+    search handles about 63 % of n rows per tree; every count it makes
+    is a sum of multiplicities, the same count as over the drawn rows.
     All trees grow in lockstep, in one thread: at each step every tree
     takes its next preorder node that needs a split search, and one
     vectorised search (:func:`_split_chunk`) serves all of them.  So
     each tree is exactly the one a recursive tree-at-a-time grower
-    builds, and the result does not depend on ``n_jobs``, which is kept
-    for callers and ignored.
+    builds on the drawn rows, and the result does not depend on
+    ``n_jobs``, which is kept for callers and ignored.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -234,67 +242,88 @@ def train_random_forest(
     n, p = x.shape
     mf = max_features if max_features is not None else math.ceil(math.sqrt(p))
     rngs = [np.random.default_rng(seed + i) for i in range(n_trees)]
-    rows = np.empty((n_trees, n), dtype=np.int32)
-    for row, rng in zip(rows, rngs):
-        row[:] = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-    return _grow_forest(x, y, rows, rngs if mf < p else None, mf,
+    rows, weights, bounds = _samples(rngs, n, bootstrap)
+    return _grow_forest(x, y, rows, weights, bounds, rngs if mf < p else None, mf,
                         max_depth=max_depth, min_leaf=min_leaf)
 
 
-def _grow_forest(x, y, rows, rngs, mf, max_depth, min_leaf) -> list[Tree]:
-    """Grow one tree per row of ``rows`` (the training row ids of each
-    tree), in lockstep.  ``rngs`` holds each tree's generator for its
-    feature draws, or is None to try every feature at every node.
+def _samples(rngs, n, bootstrap):
+    """Each tree's sample, drawn from its generator as ``integers(0, n,
+    size=n)`` (all n rows once without ``bootstrap``), as its distinct
+    rows in ascending order with their multiplicities: the flat int32
+    ``rows`` and ``weights`` of all trees, tree after tree, and the
+    ``bounds`` of tree t's segment, ``bounds[t]:bounds[t + 1]``."""
+    rows, weights = [], []
+    for rng in rngs:
+        drawn = np.bincount(rng.integers(0, n, size=n), minlength=n) if bootstrap else np.ones(n, int)
+        distinct = np.flatnonzero(drawn)
+        rows.append(distinct.astype(np.int32))
+        weights.append(drawn[distinct].astype(np.int32))
+    bounds = np.cumsum([0] + [len(r) for r in rows])
+    # one flat array at a time, each list dropped once joined, so the
+    # per-tree arrays and the flat ones never all coexist
+    rows = np.concatenate(rows)
+    return rows, np.concatenate(weights), bounds
+
+
+def _grow_forest(x, y, rows, weights, bounds, rngs, mf, max_depth, min_leaf) -> list[Tree]:
+    """Grow one tree per segment ``bounds[t]:bounds[t + 1]`` of
+    ``rows`` (each tree's distinct training rows) and ``weights``
+    (their multiplicities), in lockstep.  ``rngs`` holds each tree's
+    generator for its feature draws, or is None to try every feature at
+    every node.
 
     Each tree keeps its own preorder with an explicit stack.  A node is
-    a contiguous segment of ``rows`` (flattened), which a split
-    partitions into left | right.  The right child is pushed first, and
-    a node's ``right`` is set when its right child is popped.
+    a contiguous segment of ``rows`` and ``weights``, which a split
+    partitions into left | right, and carries its weight (the sum of
+    its multiplicities) and its weighted positives; its leaf value is
+    their ratio.  The right child is pushed first, and a node's
+    ``right`` is set when its right child is popped.
     """
-    n_trees, n = rows.shape
     p = x.shape[1]
     ranks = _Ranks.of(x, y)
-    flat = rows.ravel()
     all_features = np.arange(p)
-    tables = [[] for _ in range(n_trees)]  # per tree, [feature, right, value] in preorder
-    # (start, stop, depth, positives, parent whose right child this is, or -1)
-    stacks = [[(t * n, (t + 1) * n, 0, int(y[r].sum()), -1)] for t, r in enumerate(rows)]
+    # per tree, its feature, right and value columns in preorder
+    tables = [(array("i"), array("i"), array("d")) for _ in range(len(bounds) - 1)]
+    # (start, stop, depth, weight, positives, parent whose right child this is, or -1);
+    # a root weighs n, the size of every tree's sample
+    stacks = [[(start, stop, 0, len(x), int(weights[start:stop] @ y[rows[start:stop]]), -1)]
+              for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
     while True:
-        batch = []  # each tree's next node to search: (tree, start, stop, depth, positives, features)
-        for t, (stack, table) in enumerate(zip(stacks, tables)):
+        batch = []  # each tree's next node to search: (tree, start, stop, depth, weight, positives, features)
+        for t, (stack, (feature, right, value)) in enumerate(zip(stacks, tables)):
             while stack:
-                start, stop, depth, pos, parent = stack.pop()
-                size = stop - start
+                start, stop, depth, weight, pos, parent = stack.pop()
                 if parent >= 0:
-                    table[parent][1] = len(table)
-                table.append([-1, 0, pos / size])
-                if pos == 0 or pos == size or depth >= max_depth or size < 2 * min_leaf:
+                    right[parent] = len(feature)
+                feature.append(-1)
+                right.append(0)
+                value.append(pos / weight)
+                if pos == 0 or pos == weight or depth >= max_depth or weight < 2 * min_leaf:
                     continue
                 if rngs is None:
                     feats = all_features
                 else:
                     feats = rngs[t].choice(p, mf, replace=False)
                     feats.sort()
-                batch.append((t, start, stop, depth, pos, feats))
+                batch.append((t, start, stop, depth, weight, pos, feats))
                 break
         if not batch:
             break
         for chunk in _chunks(batch, ranks.widths):
-            for (t, start, stop, depth, pos, _), split in zip(chunk, _split_chunk(chunk, flat, ranks, min_leaf)):
+            for (t, start, stop, depth, weight, pos, _), split in zip(
+                    chunk, _split_chunk(chunk, rows, weights, ranks, min_leaf)):
                 if split is None:
                     continue
-                f, threshold, ln, lp = split
-                table = tables[t]
-                at = len(table) - 1  # the node just searched is its tree's last
-                table[at][:] = [f, 0, threshold]
-                stacks[t] += [(start + ln, stop, depth + 1, pos - lp, at),
-                              (start, start + ln, depth + 1, lp, -1)]
-    trees = []
-    for table in tables:
-        feature, right, value = np.array(table, dtype=float).T.copy()
-        trees.append(Tree(feature=feature.astype(np.intp), right=right.astype(np.intp),
-                          value=value))
-    return trees
+                f, threshold, left_rows, lw, lp = split
+                feature, _, value = tables[t]
+                at = len(feature) - 1  # the node just searched is its tree's last
+                feature[at] = f
+                value[at] = threshold
+                stacks[t] += [(start + left_rows, stop, depth + 1, weight - lw, pos - lp, at),
+                              (start, start + left_rows, depth + 1, lw, lp, -1)]
+    return [Tree(feature=np.array(feature, dtype=np.intp), right=np.array(right, dtype=np.intp),
+                 value=np.array(value, dtype=float)) for feature, right, value in tables]
 
 
 @dataclass
@@ -323,11 +352,11 @@ class _Ranks:
 
 
 def _chunks(batch, widths):
-    """``batch`` cut into runs of nodes whose (row, drawn feature) keys
-    and count bins stay within _SPLIT_KEYS and _SPLIT_BINS; a node too
-    big for either is a run of its own."""
-    feats = np.array([node[5] for node in batch])
-    node_keys = [(stop - start) * feats.shape[1] for _, start, stop, _, _, _ in batch]
+    """``batch`` cut into runs of nodes whose (distinct row, drawn
+    feature) keys and count bins stay within _SPLIT_KEYS and
+    _SPLIT_BINS; a node too big for either is a run of its own."""
+    feats = np.array([node[6] for node in batch])
+    node_keys = [(node[2] - node[1]) * feats.shape[1] for node in batch]
     chunk, keys, bins = [], 0, 0
     for node, k, b in zip(batch, node_keys, widths[feats].sum(axis=1).tolist()):
         if chunk and (keys + k > _SPLIT_KEYS or bins + b > _SPLIT_BINS):
@@ -339,53 +368,103 @@ def _chunks(batch, widths):
     yield chunk
 
 
-def _split_chunk(chunk, flat, ranks: _Ranks, min_leaf) -> list:
+def _split_chunk(chunk, rows, weights, ranks: _Ranks, min_leaf) -> list:
     """The best split of each node of ``chunk``, as (feature, threshold,
-    left rows, left positives), or None where no threshold keeps
-    ``min_leaf`` rows on both sides.  Each split node's segment of
-    ``flat`` is partitioned into left | right, stably.
-
-    A split's cost depends only on the label counts on each side of a
-    boundary between consecutive distinct values, so row order inside a
-    node never matters.  One bincount over the keys ``2 * bin + label``,
-    with a run of bins per (node, drawn feature) pair and one bin per
-    distinct value, gives every pair's counts per value at once; a
-    segmented cumsum over the values present gives the left-side counts
-    at every boundary.
+    left distinct rows, left weight, left weighted positives), or None
+    where no threshold keeps a weight of ``min_leaf`` on both sides.
+    Each split node's segment of ``rows`` and ``weights`` is
+    partitioned into left | right, stably.
     """
     n = ranks.n
-    sizes = np.array([stop - start for _, start, stop, _, _, _ in chunk])
-    pos = np.array([node[4] for node in chunk])
-    feats = np.array([node[5] for node in chunk])
+    sizes = np.array([node[2] - node[1] for node in chunk])
+    feats = np.array([node[6] for node in chunk])
     m, k = feats.shape
     if k == 0:
         return [None] * m
     # the flat positions of the chunk's rows, node after node
     before = np.cumsum(sizes) - sizes
-    at = np.repeat(np.array([node[1] for node in chunk]) - before, sizes) + np.arange(sizes.sum())
-    r = flat[at]
+    shift = np.repeat(np.array([node[1] for node in chunk]) - before, sizes)
+    r = rows[shift + np.arange(len(shift))]
+    w = weights[shift + np.arange(len(shift))]
+    split, feature, threshold, bound, lw, lp = _best_splits(
+        ranks, r, w, sizes, np.array([node[4] for node in chunk], dtype=float),
+        np.array([node[5] for node in chunk], dtype=float), feats, min_leaf)
+    # partition by code: a value is <= the threshold exactly when its
+    # rank is at most the boundary's, that is its code at most
+    # 2 * rank + 1; a node without a split keeps its rows where they are
+    node_feature = np.zeros(m, dtype=np.int64)
+    node_feature[split] = feature
+    node_bound = np.full(m, 2 * n, dtype=np.int64)
+    node_bound[split] = 2 * bound + 1
+    node = np.repeat(np.arange(m), sizes)
+    left = np.take(ranks.codes, node_feature[node] * n + r) <= node_bound[node]
+    # a left row goes after its node's earlier left rows, a right row
+    # after all its node's left rows and its earlier right rows
+    left_upto = np.cumsum(left)  # left rows up to each row, over the chunk
+    left_end = left_upto[before + sizes - 1]
+    n_left = np.diff(left_end, prepend=0)
+    dest = np.where(left, left_upto - 1 - (left_end - n_left - before)[node],
+                    np.arange(len(r)) - left_upto + left_end[node])
+    dest += shift
+    rows[dest] = r
+    weights[dest] = w
+    out = [None] * m
+    for s, *found in zip(split.tolist(), feature.tolist(), threshold.tolist(),
+                         n_left[split].tolist(), lw.tolist(), lp.tolist()):
+        out[s] = tuple(found)
+    return out
+
+
+def _best_splits(ranks: _Ranks, r, w, sizes, weight, pos, feats, min_leaf):
+    """For the nodes of a chunk, given as the distinct rows ``r`` and
+    their multiplicities ``w``, node after node (node j has ``sizes[j]``
+    of them, weighing ``weight[j]`` with ``pos[j]`` positives, and draws
+    the features ``feats[j]``): the nodes that split, in order, and each
+    one's feature, threshold, boundary rank, left weight and left
+    weighted positives.
+
+    A split's cost depends only on the weighted label counts on each
+    side of a boundary between consecutive distinct values, so row
+    order inside a node never matters.  One weighted bincount over the
+    keys ``2 * bin + label``, with a run of bins per (node, drawn
+    feature) pair and one bin per distinct value, gives every pair's
+    counts per value at once; a segmented cumsum over the values present
+    gives the left-side counts at every boundary.  The counts are
+    float64 sums of integers far below 2**53, so they are exact, and
+    every cost and tie is the one integer counts give.  This search
+    holds the chunk's largest temporaries; they are dropped once used,
+    and all of them before the caller partitions.
+    """
+    n = ranks.n
+    m, k = feats.shape
     # pair j (node j // k, its (j % k)-th feature) counts value v in bin base[j] + rank(v)
     width = ranks.widths[feats].ravel()
     base = np.cumsum(width) - width
-    key = ranks.codes[np.repeat(feats * n, sizes, axis=0) + r[:, None]]
+    key = np.repeat(feats * n, sizes, axis=0)
+    key += r[:, None]
+    key = np.take(ranks.codes, key)
     key += np.repeat(2 * base.reshape(m, k), sizes, axis=0)
-    counts = np.bincount(key.ravel(), minlength=2 * width.sum()).reshape(-1, 2)
-    present = np.flatnonzero(counts[:, 0] | counts[:, 1])
-    pair = np.searchsorted(base, present, side="right") - 1
-    cum_n = np.cumsum(counts[present, 0] + counts[present, 1])
+    counts = np.bincount(key.ravel(), weights=np.repeat(w.astype(float), k),
+                         minlength=2 * width.sum()).reshape(-1, 2)
+    del key
+    counts[:, 0] += counts[:, 1]  # from here on, each value's weight and weighted positives
+    present = np.flatnonzero(counts[:, 0] > 0)  # a bool scan is several times faster
+    cum_n = np.cumsum(counts[present, 0])
     cum_p = np.cumsum(counts[present, 1])
+    del counts
+    pair = np.searchsorted(base, present, side="right") - 1
     # a boundary follows present value c when the next one is of the same pair
     c = np.flatnonzero(pair[1:] == pair[:-1])
     pc = pair[c]
-    # rows and positives of the pairs before pc: each pair covers its node once
-    pair_n, pair_p = np.repeat(sizes, k), np.repeat(pos, k)
+    # weight and positives of the pairs before pc: each pair covers its node once
+    pair_n, pair_p = np.repeat(weight, k), np.repeat(pos, k)
     ln = cum_n[c] - (np.cumsum(pair_n) - pair_n)[pc]
     nn = pair_n[pc]
     keep = (ln >= min_leaf) & (nn - ln >= min_leaf)
     c, pc, ln, nn = c[keep], pc[keep], ln[keep], nn[keep]
-    shift = (ranks.offsets[feats].ravel() - base)[pc]
-    lo = ranks.values[present[c] + shift]
-    hi = ranks.values[present[c + 1] + shift]
+    offset = (ranks.offsets[feats].ravel() - base)[pc]
+    lo = ranks.values[present[c] + offset]
+    hi = ranks.values[present[c + 1] + offset]
     with np.errstate(over="ignore", invalid="ignore"):
         threshold = (lo + hi) / 2.0
         # adjacent representable floats: the midpoint cannot separate them
@@ -396,28 +475,17 @@ def _split_chunk(chunk, flat, ranks: _Ranks, min_leaf) -> list:
     gini_l = 1.0 - (lp * lp + (ln - lp) * (ln - lp)) / (ln * ln)
     gini_r = 1.0 - (rp * rp + (rn - rp) * (rn - rp)) / (rn * rn)
     cost = (ln * gini_l + rn * gini_r) / nn
-    # candidates come in (node, feature, threshold) order, and the sort
-    # is stable: the first of each node is its least cost, earliest
-    # feature, lowest threshold
+    # candidates come in (node, feature, threshold) order: a node's best
+    # is its first candidate at its least cost, so the earliest feature,
+    # then the lowest threshold
     node_c = pc // k
-    order = np.lexsort((cost, node_c))
-    best = order[np.flatnonzero(np.diff(node_c[order], prepend=-1))]
-    split, pb = node_c[best], pc[best]
-    feature = feats.ravel()[pb]
-    # partition by code: a value is <= the threshold exactly when its
-    # rank is at most the boundary's, that is its code at most 2 * bin + 1;
-    # a node without a split keeps its rows where they are
-    node_feature = np.zeros(m, dtype=np.int64)
-    node_feature[split] = feature
-    node_bound = np.full(m, 2 * n, dtype=np.int64)
-    node_bound[split] = 2 * (present[c[best]] - base[pb]) + 1
-    right = ranks.codes[np.repeat(node_feature * n, sizes) + r] > np.repeat(node_bound, sizes)
-    flat[at] = r[np.lexsort((right, np.repeat(np.arange(m), sizes)))]
-    out = [None] * m
-    for s, f, t, left, left_pos in zip(split.tolist(), feature.tolist(), threshold[best].tolist(),
-                                       ln[best].tolist(), lp[best].tolist()):
-        out[s] = (f, t, left, left_pos)
-    return out
+    first = np.flatnonzero(np.diff(node_c, prepend=-1))
+    least = np.minimum.reduceat(cost, first) if len(cost) else cost  # reduceat needs one
+    hit = np.flatnonzero(cost == np.repeat(least, np.diff(first, append=len(cost))))
+    best = hit[np.flatnonzero(np.diff(node_c[hit], prepend=-1))]
+    pb = pc[best]
+    return (node_c[best], feats.ravel()[pb], threshold[best], present[c[best]] - base[pb],
+            ln[best].astype(np.int64), lp[best].astype(np.int64))
 
 
 # (row, tree) pairs walked at once, which bounds the walk's index
@@ -521,9 +589,9 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def lr_loss(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray, l2: float) -> float:
     """Mean log-loss plus l2*||w||^2/2 (bias unpenalized)."""
-    # overflow here means divergence, reported as NonFiniteLoss by the
-    # trainer rather than as a numpy warning
-    with np.errstate(over="ignore"):
+    # overflow or inf - inf here means divergence, reported as
+    # NonFiniteLoss by the trainer rather than as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
         z = x @ w + b
         per_row = np.logaddexp(0.0, z) - y * z
         return float(per_row.mean() + 0.5 * l2 * (w @ w))
@@ -597,9 +665,11 @@ def train_logistic_regression(
         if not math.isfinite(loss):
             raise NonFiniteLoss(f"loss became {loss} during training")
         losses.append(loss)
-        grad_w, grad_b = lr_gradient(w, b, x, y, l2)
-        w = w - lr * grad_w
-        b = b - lr * grad_b
+        # a step that overflows shows as a non-finite loss next
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad_w, grad_b = lr_gradient(w, b, x, y, l2)
+            w = w - lr * grad_w
+            b = b - lr * grad_b
     final = lr_loss(w, b, x, y, l2)
     if not math.isfinite(final):
         raise NonFiniteLoss(f"loss became {final} during training")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-import math
 import os
 import re
 import socket
@@ -215,9 +214,10 @@ class WhoisClient:
     environment variable) tunnels every connection through an HTTP
     CONNECT or SOCKS5 proxy.  ``timeout`` bounds each exchange as a
     whole, and a response over ``MAX_RESPONSE_BYTES`` raises
-    ``ResponseTooLarge``.  ``timeout`` must be finite and above 0, and
+    ``ResponseTooLarge``.  ``timeout`` must be above 0, and
     ``min_interval``, the least spacing of two queries to one server,
-    finite and at least 0; anything else raises ``ValueError``.
+    at least 0; both must be at most ``threading.TIMEOUT_MAX``, and
+    anything else raises ``UsageError``.
     """
 
     def __init__(
@@ -229,10 +229,14 @@ class WhoisClient:
         min_interval: float = 1.0,
         proxy: str | None = None,
     ):
-        if not (math.isfinite(timeout) and timeout > 0):
-            raise UsageError(f"timeout must be finite and above 0, got {timeout}")
-        if not (math.isfinite(min_interval) and min_interval >= 0):
-            raise UsageError(f"min_interval (--rate) must be finite and at least 0, got {min_interval}")
+        # socket timeouts and time.sleep take at most threading.TIMEOUT_MAX
+        # seconds and raise OverflowError beyond it
+        if not (0 < timeout <= threading.TIMEOUT_MAX):
+            raise UsageError(f"timeout must be above 0 and at most {threading.TIMEOUT_MAX:.0f} s, "
+                             f"got {timeout}")
+        if not (0 <= min_interval <= threading.TIMEOUT_MAX):
+            raise UsageError(f"min_interval (--rate) must be at least 0 and at most "
+                             f"{threading.TIMEOUT_MAX:.0f} s, got {min_interval}")
         self.server_map = dict(DEFAULT_SERVERS if server_map is None else server_map)
         self.iana_host = iana_host
         self.port = port

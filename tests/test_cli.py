@@ -2,6 +2,7 @@ import csv
 import datetime as dt
 import json
 import random
+import warnings
 from pathlib import Path
 
 import pytest
@@ -201,6 +202,21 @@ def test_train_rejects_bad_float_hyperparameter(pipeline, capsys, flag, value, n
                  "--out", str(model), f"--{flag}", value])
     assert code == 2
     assert f"{name} must be finite" in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_train_diverging_lr_is_one_error_line(pipeline, capsys):
+    # at this rate z overflows after one step, and the loss is nan
+    # (0 * inf and inf - inf), numpy's "invalid" case
+    sel = str(pipeline["tmp"] / "selection.json")
+    _run(capsys, "select", "--in", pipeline["features"], "--out", sel)
+    model = pipeline["tmp"] / "model.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["train", "--in", pipeline["features"], "--selection", sel,
+                     "--out", str(model), "--models", "lr", "--lr-rate", "1.7e308"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: loss became nan during training\n"
     assert not model.exists()
 
 
@@ -433,7 +449,8 @@ def test_whois_fetch_caches_responses_without_parsing_them(pipeline, capsys, tmp
 
 @pytest.mark.parametrize("flag, value", [
     ("--timeout", "inf"), ("--timeout", "nan"), ("--timeout", "0"), ("--timeout", "-1"),
-    ("--rate", "inf"), ("--rate", "nan"), ("--rate", "-1"),
+    ("--timeout", "1e10"), ("--rate", "inf"), ("--rate", "nan"), ("--rate", "-1"),
+    ("--rate", "1e10"),
 ])
 def test_whois_fetch_rejects_unusable_timeout_and_rate(capsys, tmp_path, monkeypatch,
                                                        flag, value):

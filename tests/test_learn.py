@@ -1,16 +1,19 @@
 import base64
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
 import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from domaintriage import learn
+from domaintriage import learn, selection
 from domaintriage.learn import (
     DEFAULT_MODELS,
     MEMBERS,
@@ -43,6 +46,7 @@ from domaintriage.learn import (
     votes,
 )
 from domaintriage.model import DomainTriageError
+from domaintriage.synthetic import make_benchmark
 from oracles import forest_recursive, forest_score_recursive, knn_score_bruteforce
 
 
@@ -270,6 +274,47 @@ def test_forest_split_chunks_consistent(monkeypatch):
     assert [t.to_payload() for t in chunked] == [t.to_payload() for t in whole]
 
 
+def test_forest_bytes_are_pinned():
+    # a seeded, standardized benchmark matrix with 10 % of its labels
+    # flipped, so the trees grow deep; any change to the grower that
+    # moves one tree column fails here, not only in the benchmark
+    x, y = make_benchmark(2000, seed=11).feature_matrix()
+    y = y ^ (np.random.default_rng(11).random(len(y)) < 0.1)
+    kept = selection.prune(selection.correlation_matrix(x), 0.60)
+    x = Standardizer.fit(x[:, kept]).transform(x[:, kept])
+    digest = hashlib.sha256()
+    for tree in train_random_forest(x, y, n_trees=100, seed=0):
+        for column, dtype in ((tree.feature, "<i4"), (tree.right, "<i4"), (tree.value, "<f8")):
+            digest.update(column.astype(dtype).tobytes())
+    assert digest.hexdigest() == "863472f40ac06b0d66fb5d582bbd01da70454cc84f68ca22be07729127175c43"
+
+
+def _noisy_matrix():
+    """8,000 seeded rows of 10 features with 1,427, 303, 32, 2, 13 and
+    five times 2 distinct values, labelled by a noisy sum of the first
+    two, so a forest grows deep trees."""
+    rng = np.random.default_rng(8000)
+    z = rng.normal(size=(8000, 3))
+    x = np.column_stack([np.round(z * [300, 50, 4]), rng.integers(0, 2, size=8000),
+                         rng.integers(0, 13, size=8000), rng.integers(0, 2, size=(8000, 5))])
+    return x.astype(float), (z[:, 0] + z[:, 1] > 0).astype(int)
+
+
+def test_forest_training_peak_memory():
+    x, y = _noisy_matrix()
+    train_random_forest(x[:50], y[:50], n_trees=2)  # import-time and first-call allocations
+    tracemalloc.start()
+    try:
+        train_random_forest(x, y, n_trees=100, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the grower that kept every drawn row peaked at 10.02 MB here (its
+    # node tables were Python lists), the weighted one at 8.05 MB; the
+    # bound is the former plus 10 %
+    assert peak < 11.0e6
+
+
 def _tree_bits(tree: Tree) -> list[bytes]:
     return [tree.feature.tobytes(), tree.right.tobytes(), tree.value.tobytes()]
 
@@ -294,14 +339,16 @@ _SPLIT_VALUES = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_lockstep_forest_equals_recursive_grower(data):
-    n = data.draw(st.integers(1, 40))
+    # n and min_leaf large enough that bootstrap duplicates cross the
+    # min_leaf bounds, where a node's weight and its distinct rows differ
+    n = data.draw(st.integers(1, 80))
     p = data.draw(st.integers(1, 4))
     x = np.array(data.draw(st.lists(_SPLIT_VALUES, min_size=n * p, max_size=n * p))).reshape(n, p)
     y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     params = dict(
         n_trees=data.draw(st.integers(1, 5)), max_features=data.draw(st.integers(1, p)),
         bootstrap=data.draw(st.booleans()), seed=data.draw(st.integers(0, 2**16)),
-        max_depth=data.draw(st.integers(0, 7)), min_leaf=data.draw(st.integers(1, 5)),
+        max_depth=data.draw(st.integers(0, 7)), min_leaf=data.draw(st.integers(1, 8)),
     )
     with np.errstate(over="ignore", invalid="ignore"):
         want = forest_recursive(x, y, **params)
@@ -310,6 +357,20 @@ def test_lockstep_forest_equals_recursive_grower(data):
             patch.setattr(learn, "_SPLIT_KEYS", 16)
         got = train_random_forest(x, y, **params)
     assert [_tree_bits(t) for t in got] == [_oracle_bits(t) for t in want]
+
+
+def test_forest_counts_bootstrap_duplicates_as_rows():
+    x = np.arange(8, dtype=float).reshape(-1, 1)
+    y = np.array([0, 0, 0, 1, 0, 1, 1, 1])
+    # the one tree of seed 2 draws rows 0, 2, 3 and 6 twice each: four
+    # distinct rows, fewer than 2 * min_leaf = 6, but a weight of 8
+    assert sorted(np.random.default_rng(2).integers(0, 8, size=8).tolist()) == [0, 0, 2, 2, 3, 3, 6, 6]
+    params = dict(n_trees=1, max_features=1, bootstrap=True, seed=2, max_depth=12, min_leaf=3)
+    (want,) = forest_recursive(x, y, **params)
+    (got,) = train_random_forest(x, y, **params)
+    assert _tree_bits(got) == _oracle_bits(want)
+    # each side holds two distinct rows, fewer than min_leaf, of weight 4
+    assert got.feature.tolist() == [0, -1, -1] and got.value.tolist() == [2.5, 0.0, 1.0]
 
 
 def test_decision_tree_equals_recursive_grower():
@@ -399,8 +460,18 @@ def test_lr_separates_blobs():
 
 def test_lr_divergence_raises():
     x, y = _blobs(seed=38)
-    with pytest.raises(NonFiniteLoss):
-        train_logistic_regression(x, y, lr=1e12, epochs=500)
+    # columns strongly correlated with y make the first step so large
+    # that z overflows, and the loss is nan (0 * inf and inf - inf)
+    rng = np.random.default_rng(0)
+    y2 = rng.integers(0, 2, size=200)
+    x2 = np.stack([y2 + 0.3 * rng.normal(size=200) for _ in range(10)], axis=1)
+    x2 = (x2 - x2.mean(axis=0)) / x2.std(axis=0)
+    # NonFiniteLoss is the only report: no numpy warning comes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for xs, ys, lr in ((x, y, 1e12), (x2, y2, 1e308)):
+            with pytest.raises(NonFiniteLoss):
+                train_logistic_regression(xs, ys, lr=lr, epochs=500)
 
 
 def test_lr_bias_not_penalized():
