@@ -32,6 +32,8 @@ from domaintriage.model import (
     UsageError,
     LabeledDataset,
     FEATURE_NAMES,
+    FRACTIONAL,
+    MAY_BE_ABSENT,
     normalize_domain,
     parse_domain,
 )
@@ -51,10 +53,9 @@ FEATURES_HEADER = ("domain", "label") + FEATURE_NAMES
 # feed columns accepted as the first-seen date, in preference order
 _DATE_COLUMNS = ("first_seen", "date", "dateadded", "listingdate")
 
-# features CSV columns: f1..f3 may be blank (no WHOIS data), f5 and f10
-# are fractions, every other feature is an integer
-_BLANK_OK = np.array([name in ("f1", "f2", "f3") for name in FEATURE_NAMES])
-_FRACTIONAL = np.array([name in ("f5", "f10") for name in FEATURE_NAMES])
+# features CSV columns that may be blank, and those that are fractions
+_BLANK_OK = np.isin(np.arange(len(FEATURE_NAMES)), MAY_BE_ABSENT)
+_FRACTIONAL = np.isin(np.arange(len(FEATURE_NAMES)), FRACTIONAL)
 
 
 @contextmanager

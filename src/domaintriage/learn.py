@@ -553,27 +553,23 @@ class RandomForest:
         return cls(trees)
 
 
-@dataclass
-class DecisionTree:
-    """The ``dt`` member: one tree, scored as a one-tree forest."""
+class DecisionTree(RandomForest):
+    """The ``dt`` member: the one-tree forest of :func:`train_decision_tree`,
+    scored as a forest; its model-file entry holds the tree under ``"tree"``."""
 
     kind = "dt"
-    tree: Tree
 
     @classmethod
     def fit(cls, x, y, params: dict, seed: int) -> "DecisionTree":
-        return cls(train_decision_tree(x, y, max_depth=params["max_depth"],
-                                       min_leaf=params["min_leaf"]))
-
-    def scores(self, x) -> np.ndarray:
-        return forest_predict_proba([self.tree], x)
+        return cls([train_decision_tree(x, y, max_depth=params["max_depth"],
+                                        min_leaf=params["min_leaf"])])
 
     def to_payload(self) -> dict:
-        return {"tree": self.tree.to_payload()}
+        return {"tree": self.trees[0].to_payload()}
 
     @classmethod
     def from_payload(cls, obj: dict, width: int) -> "DecisionTree":
-        return cls(Tree.from_payload(obj["tree"], width))
+        return cls([Tree.from_payload(obj["tree"], width)])
 
 
 # --- logistic regression ---------------------------------------------------
@@ -878,11 +874,9 @@ class EnsembleModel:
 
     def member_scores(self, x17) -> list[np.ndarray]:
         """Each member's scores, in member order, for the rows of the
-        raw (n, 17) feature matrix ``x17``."""
+        raw (n, 17) feature matrix ``x17``, or for one raw row."""
         x17 = np.asarray(x17, dtype=float)
-        if x17.ndim == 1:
-            x17 = x17.reshape(1, -1)
-        xs = self.standardizer.transform(x17[:, self.selected_features])
+        xs = self.standardizer.transform(x17[..., self.selected_features])
         return [member.scores(xs) for member in self.members]
 
 
@@ -898,12 +892,16 @@ def train_ensemble(
 
     ``x17`` is the raw (n, 17) matrix with NaN for absent entries.
     Hyperparameter overrides: n_trees, max_depth, min_leaf, knn_k, l2,
-    lr_rate, lr_epochs.
+    lr_rate, lr_epochs.  ``seed`` and the indices must be integers (numpy
+    ones are taken as ``int``, bools refused), and ``seed`` at least 0.
     """
     params = {**DEFAULT_PARAMS, **overrides}
     error = _param_error(params)
     if error:
         raise InvalidHyperparameter(error)
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise UsageError(f"seed must be an integer of at least 0, got {seed!r}")
+    seed = int(seed)
     if not models:
         raise UsageError("need at least one member model")
     for i, kind in enumerate(models):
@@ -916,8 +914,10 @@ def train_ensemble(
     if len(x17) == 0:
         raise EmptyData("no rows to train on")
     sel = list(selected_features)
-    if not sel or len(set(sel)) != len(sel):
-        raise UsageError("selected_features must be non-empty and unique")
+    if not (sel and all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+                        for i in sel) and len(set(sel)) == len(sel)):
+        raise UsageError(f"selected_features must be non-empty, unique integers, got {sel!r}")
+    sel = [int(i) for i in sel]
     if min(sel) < 0 or max(sel) >= x17.shape[1]:
         raise FeatureDimensionMismatch(
             f"selected feature index out of range for {x17.shape[1]} columns"
@@ -935,11 +935,8 @@ def train_ensemble(
 
 
 def _raw_row(features) -> np.ndarray:
-    if isinstance(features, FeatureVector):
-        row = features.to_row()
-    else:
-        row = list(features)
-    return np.array([np.nan if v is None else float(v) for v in row], dtype=float)
+    row = features.to_row() if isinstance(features, FeatureVector) else list(features)
+    return np.array(row, dtype=float)  # None, an absent value, converts to NaN
 
 
 def combine_votes(member_scores: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -960,9 +957,10 @@ def ensemble_predict(model: EnsembleModel, features) -> tuple[int, float]:
     """Score one domain: majority-vote label plus the vote fraction
     (the fraction is only a ranking statistic for ROC purposes)."""
     row = _raw_row(features)
-    if row.shape[0] != 17:
-        raise FeatureDimensionMismatch(f"expected 17 features, got {row.shape[0]}")
-    labels, scores = ensemble_scores(model, row.reshape(1, -1))
+    if row.shape != (len(FEATURE_NAMES),):
+        raise FeatureDimensionMismatch(
+            f"expected {len(FEATURE_NAMES)} features, got an array of shape {row.shape}")
+    labels, scores = ensemble_scores(model, row)
     return int(labels[0]), float(scores[0])
 
 
@@ -1060,8 +1058,9 @@ def deserialize_model(data: bytes) -> EnsembleModel:
             raise CorruptPayload("standardizer stds must be positive")
         members = []
         for obj in payload["members"]:
-            if obj["kind"] not in MEMBERS:
-                raise CorruptPayload(f"unknown member kind {obj['kind']!r}")
+            # train_ensemble's rule: known kinds, each at most once
+            if obj["kind"] not in MEMBERS or any(m.kind == obj["kind"] for m in members):
+                raise CorruptPayload(f"unknown or repeated member kind {obj['kind']!r}")
             members.append(MEMBERS[obj["kind"]].from_payload(obj, width))
         if not members:
             raise CorruptPayload("a model needs at least one member")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import datetime as dt
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 class DomainTriageError(Exception):
@@ -128,15 +128,24 @@ class WhoisRecord:
 #: Column names used for the 17-feature vector in CSV files, in order.
 FEATURE_NAMES = tuple(f"f{i}" for i in range(1, 18))
 
+#: Indices of the features that may be absent: f1..f3, the WHOIS day counts.
+MAY_BE_ABSENT = (0, 1, 2)
+
+#: Indices of the fractional features, f5 and f10; the others are integers.
+FRACTIONAL = (4, 9)
+
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """The 17 per-domain features, in their fixed order.
+    """The 17 per-domain features, declared in their fixed f1..f17 order,
+    which :meth:`to_row` and :meth:`from_row` follow.
 
-    f1..f3 are day counts relative to a reference date and are ``None``
-    when WHOIS data was unavailable; everything else is always present.
-    f12..f14 one-hot encode the TLD category and f15..f17 the registrar
-    category (all three zero when the registrar is unknown).
+    f1..f3 (``MAY_BE_ABSENT``) are day counts relative to a reference
+    date and are ``None`` when WHOIS data was unavailable; everything
+    else is always present.  f5 and f10 (``FRACTIONAL``) are floats, the
+    others ints.  f12..f14 one-hot encode the TLD category and f15..f17
+    the registrar category (all three zero when the registrar is
+    unknown).
     """
 
     f1_reg_age_days: int | None
@@ -161,30 +170,12 @@ class FeatureVector:
     def from_row(cls, row: list[float]) -> "FeatureVector":
         """The vector of 17 floats in f1..f17 order, NaN marking an absent
         f1..f3: the inverse of a row of ``LabeledDataset.feature_matrix``."""
-        return cls(*(v if j in (4, 9) else None if v != v else int(v)
+        return cls(*(v if j in FRACTIONAL else None if v != v else int(v)
                      for j, v in enumerate(row)))
 
     def to_row(self) -> list[float | None]:
         """Return the features as a 17-element list in f1..f17 order."""
-        return [
-            self.f1_reg_age_days,
-            self.f2_expiry_days,
-            self.f3_update_age_days,
-            self.f4_dots,
-            self.f5_entropy,
-            self.f6_length,
-            self.f7_digits,
-            self.f8_hyphens,
-            self.f9_vowels,
-            self.f10_digit_pct,
-            self.f11_unique_alnum,
-            self.f12_tld_generic,
-            self.f13_tld_unknown,
-            self.f14_tld_abused,
-            self.f15_reg_popular,
-            self.f16_reg_not_popular,
-            self.f17_reg_bad,
-        ]
+        return [getattr(self, f.name) for f in fields(self)]
 
 
 @dataclass(frozen=True)
@@ -221,13 +212,11 @@ class LabeledDataset:
         """
         import numpy as np
 
-        n = len(self.rows)
-        x = np.empty((n, len(FEATURE_NAMES)), dtype=float)
-        y = np.empty(n, dtype=int)
+        rows = []
         for i, row in enumerate(self.rows):
             if row.features is None:
                 raise ValueError(f"row {i} ({row.domain.raw}) has no features")
-            vals = row.features.to_row()
-            x[i] = [np.nan if v is None else float(v) for v in vals]
-            y[i] = row.label
-        return x, y
+            rows.append(row.features.to_row())
+        # None, an absent f1..f3, converts to NaN
+        x = np.array(rows, dtype=float).reshape(-1, len(FEATURE_NAMES))
+        return x, np.array(self.labels(), dtype=int)

@@ -151,58 +151,40 @@ def _time_left(deadline: float) -> float:
     return left
 
 
-def _connect_direct(host: str, port: int, deadline: float) -> socket.socket:
-    return socket.create_connection((host, port), timeout=_time_left(deadline))
-
-
-def _connect_via_http(proxy_host: str, proxy_port: int, host: str, port: int,
-                      deadline: float) -> socket.socket:
-    sock = socket.create_connection((proxy_host, proxy_port), timeout=_time_left(deadline))
-    try:
-        req = f"CONNECT {host}:{port} HTTP/1.1\r\nHost: {host}:{port}\r\n\r\n"
-        sock.sendall(req.encode("ascii"))
-        reply = b""
-        while b"\r\n\r\n" not in reply:
-            sock.settimeout(_time_left(deadline))
-            chunk = sock.recv(1024)
-            if not chunk:
-                break
-            reply = reply + chunk
-            if len(reply) > MAX_RESPONSE_BYTES:
-                raise ResponseTooLarge(f"proxy's reply to CONNECT exceeds {MAX_RESPONSE_BYTES} bytes")
-        status = reply.split(b"\r\n", 1)[0]
-        if b" 200" not in status:
-            raise WhoisConnectionRefused(
-                f"proxy refused CONNECT to {host}:{port}: {status.decode('ascii', 'replace')}"
-            )
-        return sock
-    except Exception:
-        sock.close()
-        raise
-
-
-def _connect_via_socks5(proxy_host: str, proxy_port: int, host: str, port: int,
-                        deadline: float) -> socket.socket:
-    sock = socket.create_connection((proxy_host, proxy_port), timeout=_time_left(deadline))
-    try:
-        sock.sendall(b"\x05\x01\x00")  # version 5, one method: no auth
+def _http_connect(sock: socket.socket, host: str, port: int, deadline: float) -> None:
+    req = f"CONNECT {host}:{port} HTTP/1.1\r\nHost: {host}:{port}\r\n\r\n"
+    sock.sendall(req.encode("ascii"))
+    reply = b""
+    while b"\r\n\r\n" not in reply:
         sock.settimeout(_time_left(deadline))
-        reply = sock.recv(2)
-        if reply != b"\x05\x00":
-            raise WhoisConnectionRefused("SOCKS5 proxy rejected the handshake")
-        name = host.encode("idna")
-        if len(name) > 255:
-            raise WhoisConnectionRefused(f"{host}: name too long for SOCKS5")
-        sock.sendall(b"\x05\x01\x00\x03" + bytes([len(name)]) + name
-                     + port.to_bytes(2, "big"))
-        sock.settimeout(_time_left(deadline))
-        reply = sock.recv(10)
-        if len(reply) < 2 or reply[1] != 0x00:
-            raise WhoisConnectionRefused(f"SOCKS5 connect failed (code {reply[1:2].hex()})")
-        return sock
-    except Exception:
-        sock.close()
-        raise
+        chunk = sock.recv(1024)
+        if not chunk:
+            break
+        reply = reply + chunk
+        if len(reply) > MAX_RESPONSE_BYTES:
+            raise ResponseTooLarge(f"proxy's reply to CONNECT exceeds {MAX_RESPONSE_BYTES} bytes")
+    status = reply.split(b"\r\n", 1)[0]
+    if b" 200" not in status:
+        raise WhoisConnectionRefused(
+            f"proxy refused CONNECT to {host}:{port}: {status.decode('ascii', 'replace')}"
+        )
+
+
+def _socks5_connect(sock: socket.socket, host: str, port: int, deadline: float) -> None:
+    sock.sendall(b"\x05\x01\x00")  # version 5, one method: no auth
+    sock.settimeout(_time_left(deadline))
+    reply = sock.recv(2)
+    if reply != b"\x05\x00":
+        raise WhoisConnectionRefused("SOCKS5 proxy rejected the handshake")
+    name = host.encode("idna")
+    if len(name) > 255:
+        raise WhoisConnectionRefused(f"{host}: name too long for SOCKS5")
+    sock.sendall(b"\x05\x01\x00\x03" + bytes([len(name)]) + name
+                 + port.to_bytes(2, "big"))
+    sock.settimeout(_time_left(deadline))
+    reply = sock.recv(10)
+    if len(reply) < 2 or reply[1] != 0x00:
+        raise WhoisConnectionRefused(f"SOCKS5 connect failed (code {reply[1:2].hex()})")
 
 
 class WhoisClient:
@@ -213,8 +195,10 @@ class WhoisClient:
     the map keeps.  ``proxy`` (or the ``DOMAINTRIAGE_WHOIS_PROXY``
     environment variable) tunnels every connection through an HTTP
     CONNECT or SOCKS5 proxy.  ``timeout`` bounds each exchange as a
-    whole, and a response over ``MAX_RESPONSE_BYTES`` raises
-    ``ResponseTooLarge``.  ``timeout`` must be above 0, and
+    whole, connecting and the proxy's handshake included, and a response
+    over ``MAX_RESPONSE_BYTES`` raises ``ResponseTooLarge``.  A socket
+    failure raises the ``WhoisError`` whose ``kind`` names its class.
+    ``timeout`` must be above 0, and
     ``min_interval``, the least spacing of two queries to one server,
     at least 0; both must be at most ``threading.TIMEOUT_MAX``, and
     anything else raises ``UsageError``.
@@ -246,25 +230,20 @@ class WhoisClient:
         self._proxy = _parse_proxy(proxy) if proxy else None
 
     def _connect(self, host: str, deadline: float) -> socket.socket:
+        if self._proxy is None:
+            return socket.create_connection((host, self.port), timeout=_time_left(deadline))
+        scheme, phost, pport = self._proxy
+        sock = socket.create_connection((phost, pport), timeout=_time_left(deadline))
         try:
-            if self._proxy is None:
-                return _connect_direct(host, self.port, deadline)
-            scheme, phost, pport = self._proxy
-            if scheme == "http":
-                return _connect_via_http(phost, pport, host, self.port, deadline)
-            return _connect_via_socks5(phost, pport, host, self.port, deadline)
-        except socket.timeout as exc:
-            raise WhoisTimeout(f"{host}: connect timed out after {self.timeout}s") from exc
-        except ConnectionRefusedError as exc:
-            raise WhoisConnectionRefused(f"{host}: connection refused") from exc
-        # a name the IDNA codec refuses (an empty label, or one over 63
-        # characters, as a referral may give) is a UnicodeError
-        except (socket.gaierror, UnicodeError) as exc:
-            raise WhoisConnectionRefused(f"{host}: cannot resolve host") from exc
-        except OSError as exc:
-            raise WhoisConnectionRefused(f"{host}: {exc}") from exc
+            handshake = _http_connect if scheme == "http" else _socks5_connect
+            handshake(sock, host, self.port, deadline)
+        except BaseException:
+            sock.close()
+            raise
+        return sock
 
     def _converse(self, server: str, text: str) -> str:
+        query = (text + "\r\n").encode("utf-8")
         with self._limiter.lock_for(server):
             self._limiter.wait(server)
             # ``timeout`` bounds the whole exchange, so a server that
@@ -274,7 +253,7 @@ class WhoisClient:
                 sock = self._connect(server, deadline)
                 try:
                     sock.settimeout(_time_left(deadline))
-                    sock.sendall((text + "\r\n").encode("utf-8"))
+                    sock.sendall(query)
                     chunks = []
                     size = 0
                     while True:
@@ -292,8 +271,10 @@ class WhoisClient:
                     self._limiter.mark(server)
             except socket.timeout as exc:
                 raise WhoisTimeout(f"{server}: exchange not done within {self.timeout}s") from exc
-            except WhoisError:
-                raise
+            # a name the IDNA codec refuses (an empty label, or one over 63
+            # characters, as a referral may give) is a UnicodeError
+            except (socket.gaierror, UnicodeError) as exc:
+                raise WhoisConnectionRefused(f"{server}: cannot resolve host") from exc
             except OSError as exc:
                 raise WhoisConnectionRefused(f"{server}: {exc}") from exc
         blob = b"".join(chunks)

@@ -45,7 +45,7 @@ from domaintriage.learn import (
     train_random_forest,
     votes,
 )
-from domaintriage.model import DomainTriageError
+from domaintriage.model import DomainTriageError, UsageError
 from domaintriage.synthetic import make_benchmark
 from oracles import forest_recursive, forest_score_recursive, knn_score_bruteforce
 
@@ -863,7 +863,7 @@ def test_tree_fields_are_the_payload_columns():
 
 
 def _trees(member) -> list[Tree]:
-    return member.trees if member.kind == "rf" else [member.tree]
+    return member.trees
 
 
 def test_noisy_forest_trees_round_trip_bit_equal():
@@ -1113,6 +1113,7 @@ _CORRUPT_FIELDS = {
     "params min_leaf below 1": lambda p: p["params"].update(min_leaf=0),
     "params l2 negative": lambda p: p["params"].update(l2=-1e-4),
     "params lr_rate infinite": lambda p: p["params"].update(lr_rate=float("inf")),
+    "members a repeated kind": lambda p: p["members"].append(_member_of(p, "rf")),
 }
 
 
@@ -1125,6 +1126,33 @@ def test_train_rejects_hyperparameters_the_loader_refuses(override):
     x, y = _raw17(seed=62)
     with pytest.raises(InvalidHyperparameter):
         train_ensemble(x, y, [0, 4, 9], seed=0, n_trees=3, **override)
+
+
+@pytest.mark.parametrize("override", [
+    {"selected_features": [True, 3]}, {"selected_features": [0, 4.0]},
+    {"selected_features": [0, np.bool_(True)]}, {"seed": True}, {"seed": 1.5},
+    {"seed": -1}, {"seed": np.float64(2.0)},
+])
+def test_train_rejects_indices_and_seeds_the_loader_refuses(override, monkeypatch):
+    # a model with any of these would fail to load, to be written or (a
+    # negative seed) to grow its trees, so none reaches a member's fit
+    def trained(*args, **kwargs):
+        raise AssertionError("a member was trained before the seed and indices were checked")
+
+    monkeypatch.setattr(learn, "train_logistic_regression", trained)
+    x, y = _raw17(n=80, seed=62)
+    kwargs = {"selected_features": [0, 4, 9], "seed": 0, **override}
+    with pytest.raises(UsageError):
+        train_ensemble(x, y, models=("lr",), **kwargs)
+
+
+def test_model_trained_with_numpy_integers_round_trips():
+    x, y = _raw17(n=80, seed=62)
+    model = train_ensemble(x, y, [np.int64(0), np.int32(4)], seed=np.int64(3), n_trees=3)
+    assert model.selected_features == [0, 4] and type(model.seed) is int
+    blob = serialize_model(model)
+    assert serialize_model(deserialize_model(blob)) == blob
+    assert blob == serialize_model(train_ensemble(x, y, [0, 4], seed=3, n_trees=3))
 
 
 @pytest.mark.parametrize("edit", _CORRUPT_FIELDS.values(), ids=_CORRUPT_FIELDS.keys())
