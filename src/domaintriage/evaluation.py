@@ -139,12 +139,19 @@ def confusion(y_true, y_pred) -> ConfusionCounts:
         raise LengthMismatch(f"{len(y_true)} true labels vs {len(y_pred)} predictions")
     if len(y_true) == 0:
         raise EmptyCounts("no rows to tally")
+    _binary(y_true, "labels")
+    _binary(y_pred, "predictions")
     return ConfusionCounts(
         tp=int(((y_true == 1) & (y_pred == 1)).sum()),
         tn=int(((y_true == 0) & (y_pred == 0)).sum()),
         fp=int(((y_true == 0) & (y_pred == 1)).sum()),
         fn=int(((y_true == 1) & (y_pred == 0)).sum()),
     )
+
+
+def _binary(values: np.ndarray, what: str) -> None:
+    if not ((values == 0) | (values == 1)).all():
+        raise UsageError(f"{what} must be 0 or 1")
 
 
 def metrics(counts: ConfusionCounts) -> tuple[float, float | None, float | None]:
@@ -161,22 +168,32 @@ def metrics(counts: ConfusionCounts) -> tuple[float, float | None, float | None]
 def roc_curve(scores, labels) -> list[tuple[float, float]]:
     """Threshold sweep at every unique score (prediction = score >=
     threshold), deduplicated, anchored at (0,0) and (1,1), sorted by
-    (fpr, tpr)."""
+    (fpr, tpr).
+
+    One sort per class: at threshold t, tp and fp count the scores of
+    each class at or above t.  A NaN score is never at or above a
+    threshold, and a NaN threshold predicts nothing, which is (0,0).
+    """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=int)
     if len(scores) != len(labels):
         raise LengthMismatch(f"{len(scores)} scores vs {len(labels)} labels")
+    _binary(labels, "labels")
     n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
+    n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClass(f"need both classes, got {n_pos} positive / {n_neg} negative")
-    points = {(0.0, 0.0), (1.0, 1.0)}
-    for threshold in np.unique(scores):
-        pred = scores >= threshold
-        tp = int((pred & (labels == 1)).sum())
-        fp = int((pred & (labels == 0)).sum())
-        points.add((fp / n_neg, tp / n_pos))
-    return sorted(points)
+    ranked = ~np.isnan(scores)
+    pos = np.sort(scores[ranked & (labels == 1)])
+    neg = np.sort(scores[ranked & (labels == 0)])
+    # descending thresholds, so tp and fp only grow along the sweep
+    thresholds = np.unique(scores[ranked])[::-1]
+    tp = np.concatenate(([0], len(pos) - np.searchsorted(pos, thresholds, "left"), [n_pos]))
+    fp = np.concatenate(([0], len(neg) - np.searchsorted(neg, thresholds, "left"), [n_neg]))
+    new = np.ones(len(tp), dtype=bool)
+    new[1:] = (tp[1:] != tp[:-1]) | (fp[1:] != fp[:-1])
+    # int / int true division is correctly rounded, as in Python
+    return list(zip((fp[new] / n_neg).tolist(), (tp[new] / n_pos).tolist()))
 
 
 def auc(roc_points: list[tuple[float, float]]) -> float:

@@ -675,9 +675,12 @@ def train_logistic_regression(
 
 # --- k nearest neighbors ----------------------------------------------------
 
-# doubles in one block of approximate distances (16 MB); a block holds
-# _KNN_BLOCK // n queries, at least one
-_KNN_BLOCK = 1 << 21
+# doubles in one block of approximate distances (8 MB, and as much again
+# for argpartition's row indices); a block holds _KNN_BLOCK // n queries,
+# at least one
+_KNN_BLOCK = 1 << 20
+# rows kept per query beyond the k nearest by approximate distance
+_KNN_SPARE = 27
 
 
 def knn_scores(train_x, train_y, queries, k: int = 5) -> np.ndarray:
@@ -687,27 +690,37 @@ def knn_scores(train_x, train_y, queries, k: int = 5) -> np.ndarray:
     and equidistant points at the boundary are taken in row order, so
     the neighbours are the first k rows of a stable sort by E.
 
-    Queries go in blocks.  One matmul gives every approximate distance
-    ``A = |q|² + |x|² − 2·q·xᵀ`` of a block, and ``np.partition`` gives
-    T, each query's k-th smallest A.  With u = eps/2 and S = |q|² +
-    max|x|², the standard bounds for sums and dot products give
-    ``|A − D| ≤ (2p + 4)·u·S`` (the three length-p reductions and the
-    two additions) and ``|E − D| ≤ (p + 2)·u·D ≤ (2p + 4)·u·S`` (a
-    rounded difference, a rounded square and p − 1 additions, and D ≤
-    2S) around the true distance D, so ``|A − E| ≤ δ = (2p + 4)·eps·S``
-    up to O(u²) terms.  Each product that underflows adds at most half
-    the smallest subnormal, hence an absolute term of the same form.
+    Queries go in blocks, all held in one buffer.  One matmul gives
+    ``(−2·q)·xᵀ`` for a block, and adding |x|² makes ``A′``; the
+    approximate distance is ``A = A′ + |q|²``.  Scaling by 2 is exact,
+    so this is the usual expansion in another summation order.  With
+    u = eps/2 and S = |q|² + max|x|², the standard bounds for sums and
+    dot products give ``|A − D| ≤ (2p + 4)·u·S`` in any summation order
+    (the three length-p reductions and the two additions) and ``|E − D|
+    ≤ (p + 2)·u·D ≤ (2p + 4)·u·S`` (a rounded difference, a rounded
+    square and p − 1 additions, and D ≤ 2S) around the true distance
+    D, so ``|A − E| ≤ δ = (2p + 4)·eps·S`` up to O(u²) terms.  Each
+    product that underflows adds at most half the smallest subnormal,
+    hence an absolute term of the same form.
 
-    The k rows with A ≤ T have E ≤ T + δ, so the k-th smallest E is at
-    most T + δ, and any row with E at most that k-th smallest E has
-    A ≤ T + 2δ.  The rows kept, those with A ≤ T + 2δ where 2δ is taken
-    as ``4(p + 3)·(eps·S + 2^-1074)`` (the slack absorbs the rounding of
-    T + 2δ and the O(u²) terms), therefore include every row that can
-    be among the k nearest.  Their E is recomputed with the same
-    last-axis reduction as a full scan, so the values are bit-equal,
-    and the first k by (E, row) are exactly the stable sort's first k.
-    A query whose T + 2δ is not finite (an overflow or a NaN) keeps
-    every row, which is the exact full scan.
+    Let T be a query's k-th smallest A.  The k rows with A ≤ T have E ≤
+    T + δ, so the k-th smallest E is at most T + δ, and any row with E
+    at most that k-th smallest E has A ≤ T + 2δ.  The rows with A ≤ T
+    + 2δ, where 2δ is taken as ``4(p + 3)·(eps·S + 2^-1074)`` (the slack
+    absorbs the rounding of T + 2δ and the O(u²) terms), therefore
+    include every row that can be among the k nearest.
+
+    ``np.argpartition`` keeps the K = min(k + _KNN_SPARE, n) rows of
+    smallest A′ per query.  A rounded addition of the same |q|² is
+    monotone, so they are also K rows of smallest A, T is the k-th of
+    their sorted A, and every other row has A at least the K-th.  When
+    that K-th A is above T + 2δ (or K = n), the K rows hold every
+    candidate; their E is computed with the same last-axis reduction as
+    a full scan, so the values are bit-equal, and the first k by (E,
+    row) are exactly the stable sort's first k.  Any other query keeps
+    every row with A ≤ T + 2δ instead, and a query whose T + 2δ is not
+    finite (an overflow or a NaN) keeps every row, which is the exact
+    full scan.
     """
     train_x = np.asarray(train_x, dtype=float)
     train_y = np.asarray(train_y)
@@ -729,6 +742,8 @@ def knn_scores(train_x, train_y, queries, k: int = 5) -> np.ndarray:
     out = np.empty(len(queries), dtype=float)
     p = train_x.shape[1]
     chunk = max(1, _KNN_BLOCK // n)
+    kept = min(k + _KNN_SPARE, n)
+    buf = np.empty((min(chunk, len(queries)), n))
     # a non-finite value only sends a query to the full scan
     with np.errstate(over="ignore", invalid="ignore"):
         xx = (train_x * train_x).sum(axis=1)
@@ -736,27 +751,30 @@ def knn_scores(train_x, train_y, queries, k: int = 5) -> np.ndarray:
         for start in range(0, len(queries), chunk):
             q = queries[start:start + chunk]
             qq = (q * q).sum(axis=1)
-            approx = q @ train_x.T
-            approx *= -2.0
-            approx += qq[:, None]
+            approx = np.matmul(-2.0 * q, train_x.T, out=buf[:len(q)])
             approx += xx
-            # copies, so no view keeps a block-sized buffer alive into the
-            # next block's matmul
-            kth = np.partition(approx, k - 1, axis=1)[:, k - 1].copy()
-            limit = kth + 4 * (p + 3) * (np.finfo(float).eps * (qq + xx_max)
-                                         + np.finfo(float).smallest_subnormal)
-            keep = approx <= limit[:, None]
-            del approx
-            keep[~np.isfinite(limit)] = True
-            qi, ri = np.nonzero(keep)
-            del keep
-            exact = ((q[qi] - train_x[ri]) ** 2).sum(axis=-1)
-            order = np.lexsort((ri, exact, qi))
-            # candidates come grouped by query; a group's first k are its nearest
-            counts = np.bincount(qi, minlength=len(q))
-            first = np.cumsum(counts) - counts
-            nearest = ri[order[first[:, None] + np.arange(k)]]
-            out[start:start + len(q)] = train_y[nearest].sum(axis=1) / k
+            rows = np.argpartition(approx, kept - 1, axis=1)[:, :kept]
+            near = np.sort(np.take_along_axis(approx, rows, axis=1) + qq[:, None], axis=1)
+            limit = near[:, k - 1] + 4 * (p + 3) * (np.finfo(float).eps * (qq + xx_max)
+                                                    + np.finfo(float).smallest_subnormal)
+            held = (near[:, -1] > limit) | (kept == n)
+            rows = rows[held]
+            exact = ((q[held, None, :] - train_x[rows]) ** 2).sum(axis=-1)
+            order = np.lexsort((rows, exact), axis=1)[:, :k]
+            nearest = np.take_along_axis(rows, order, axis=1)
+            out[start + np.flatnonzero(held)] = train_y[nearest].sum(axis=1) / k
+            rest = np.flatnonzero(~held)
+            if len(rest):
+                keep = approx[rest] + qq[rest, None] <= limit[rest, None]
+                keep[~np.isfinite(limit[rest])] = True
+                qi, ri = np.nonzero(keep)
+                exact = ((q[rest[qi]] - train_x[ri]) ** 2).sum(axis=-1)
+                order = np.lexsort((ri, exact, qi))
+                # candidates come grouped by query; a group's first k are its nearest
+                counts = np.bincount(qi, minlength=len(rest))
+                first = np.cumsum(counts) - counts
+                nearest = ri[order[first[:, None] + np.arange(k)]]
+                out[start + rest] = train_y[nearest].sum(axis=1) / k
     return out
 
 

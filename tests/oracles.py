@@ -324,7 +324,8 @@ def knn_score_bruteforce(train_x, train_y, query, k: int) -> float:
     Every squared distance is summed left to right, which is also the
     order numpy sums a row of fewer than 8 values in, and the rows are
     fully sorted by (distance, row index), so equidistant rows at the
-    boundary are taken in row order.
+    boundary are taken in row order.  A NaN distance sorts after every
+    number and ties with another NaN, as in numpy's sorts.
     """
     d2 = []
     for row in train_x:
@@ -333,5 +334,22 @@ def knn_score_bruteforce(train_x, train_y, query, k: int) -> float:
             d = a - b
             total += d * d
         d2.append(total)
-    order = sorted(range(len(d2)), key=lambda i: (d2[i], i))
+    order = sorted(range(len(d2)), key=lambda i: (math.isnan(d2[i]), 0.0 if math.isnan(d2[i]) else d2[i], i))
     return sum(train_y[i] for i in order[:k]) / k
+
+
+def roc_per_threshold(scores, labels) -> tuple[list[tuple[float, float]], float]:
+    """ROC points and their trapezoidal area, one pass over the rows per
+    threshold: at each unique score t, predict 1 where score >= t."""
+    n_pos = sum(1 for y in labels if y == 1)
+    n_neg = sum(1 for y in labels if y == 0)
+    points = {(0.0, 0.0), (1.0, 1.0)}
+    for t in set(scores):
+        tp = sum(1 for s, y in zip(scores, labels) if s >= t and y == 1)
+        fp = sum(1 for s, y in zip(scores, labels) if s >= t and y == 0)
+        points.add((fp / n_neg, tp / n_pos))
+    points = sorted(points)
+    area = 0.0
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        area += (x1 - x0) * (y0 + y1) / 2.0
+    return points, area

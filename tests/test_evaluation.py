@@ -1,11 +1,14 @@
 import csv
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domaintriage import evaluation
 from domaintriage.evaluation import (
@@ -27,9 +30,9 @@ from domaintriage.evaluation import (
     write_roc_csv,
 )
 from domaintriage.learn import train_ensemble
-from domaintriage.model import DatasetRow, LabeledDataset, parse_domain
+from domaintriage.model import DatasetRow, LabeledDataset, UsageError, parse_domain
 from domaintriage.selection import LengthMismatch
-from oracles import mann_whitney_auc
+from oracles import mann_whitney_auc, roc_per_threshold
 
 
 # --- splitting --------------------------------------------------------------
@@ -110,6 +113,14 @@ def test_confusion_validation():
         ConfusionCounts(tp=-1, tn=0, fp=0, fn=0)
 
 
+@pytest.mark.parametrize("y_true, y_pred", [([0, 1, 2], [0, 1, 1]), ([0, 1, 1], [0, 1, -1])],
+                         ids=["label of 2", "prediction of -1"])
+def test_confusion_rejects_values_that_are_not_0_or_1(y_true, y_pred):
+    # a row of neither class used to drop out of every count
+    with pytest.raises(UsageError, match="must be 0 or 1"):
+        confusion(y_true, y_pred)
+
+
 def test_metrics_worked_case():
     acc, fpr, fnr = metrics(ConfusionCounts(tp=8, tn=90, fp=1, fn=1))
     assert acc == 0.98
@@ -184,6 +195,31 @@ def test_roc_requires_both_classes():
         roc_curve([0.1, 0.9], [1, 1])
     with pytest.raises(LengthMismatch):
         roc_curve([0.1], [1, 0])
+
+
+def test_roc_rejects_labels_that_are_not_0_or_1():
+    with pytest.raises(UsageError, match="labels must be 0 or 1"):
+        roc_curve([0.1, 0.2, 0.3], [0, 1, 2])
+
+
+# ties, both zeros, the infinities, NaN and any other float
+_ROC_SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_roc_and_auc_equal_per_threshold_sweep(data):
+    n = data.draw(st.integers(2, 40))
+    scores = data.draw(st.lists(_ROC_SCORES, min_size=n, max_size=n))
+    labels = [0, 1] + data.draw(st.lists(st.integers(0, 1), min_size=n - 2, max_size=n - 2))
+    want_points, want_area = roc_per_threshold(scores, labels)
+    points = roc_curve(scores, labels)
+    assert points == want_points
+    assert all(type(x) is float and type(y) is float for x, y in points)
+    assert auc(points) == want_area
 
 
 def test_auc_matches_mann_whitney():

@@ -608,6 +608,38 @@ def test_knn_chunked_batches_consistent():
     assert (whole == single).all()
 
 
+# a small grid gives many exact ties; the rest overflow, cancel to NaN
+# or are NaN
+_KNN_GRID = st.integers(-2, 2).map(float)
+_KNN_SPECIAL = st.one_of(_KNN_GRID, st.sampled_from([0.5, math.nan, math.inf, -math.inf, 1e200, -1e200]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_knn_equals_stable_sort_oracle(data):
+    n = data.draw(st.integers(1, 40))
+    p = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, n))
+    values = _KNN_SPECIAL if data.draw(st.booleans()) else _KNN_GRID
+    row = st.lists(values, min_size=p, max_size=p)
+    # rows drawn from a small pool, so many are duplicates
+    pool = data.draw(st.lists(row, min_size=1, max_size=6))
+    train_x = np.array(data.draw(st.lists(st.sampled_from(pool) | row, min_size=n, max_size=n)))
+    train_y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    queries = np.array(data.draw(st.lists(st.sampled_from(pool) | st.sampled_from(train_x.tolist()) | row,
+                                          min_size=1, max_size=12)))
+    # a common offset cancels almost every digit of |q|² + |x|² − 2q·x
+    shift = data.draw(st.sampled_from([0.0, 1e3, 1e6]))
+    if shift:
+        train_x, queries = shift + 1e-4 * train_x, shift + 1e-4 * queries
+    with pytest.MonkeyPatch.context() as patch:
+        # 0 spare rows send every query to the mask or full-scan fallback
+        patch.setattr(learn, "_KNN_SPARE", data.draw(st.sampled_from([0, 1, 3, 27])))
+        patch.setattr(learn, "_KNN_BLOCK", n * data.draw(st.sampled_from([1, 3, 1 << 20])))
+        got = knn_scores(train_x, train_y, queries, k)
+    assert got.tolist() == _knn_oracle_scores(train_x, train_y, queries, k)
+
+
 # --- majority vote ----------------------------------------------------------
 
 def test_majority_vote_exhaustive():
