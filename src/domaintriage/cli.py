@@ -269,7 +269,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_segment(args) -> int:
-    if args.wordlist:
+    if args.wordlist or args.boost:
         model = LanguageModel.from_files(args.wordlist, args.boost)
     else:
         model = LanguageModel.default()
@@ -373,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True, help="text to segment (e.g. a domain label)")
     p.add_argument("--wordlist", "--model", dest="wordlist", default=None,
                    help="ranked wordlist file (default: built-in)")
-    p.add_argument("--boost", default=None, help="boost wordlist file")
+    p.add_argument("--boost", default=None,
+                   help="boost wordlist file (boosts the built-in wordlist without --wordlist)")
     p.set_defaults(func=_cmd_segment)
 
     return parser

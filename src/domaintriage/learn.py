@@ -722,17 +722,32 @@ def knn_scores(train_x, train_y, queries, k: int = 5) -> np.ndarray:
     finite (an overflow or a NaN) keeps every row, which is the exact
     full scan.
     """
+    return _knn_scores(*_knn_train(train_x, train_y, k), queries, k)
+
+
+def _knn_train(train_x, train_y, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The training rows as floats, their labels as ints and each row's
+    |x|², for :func:`_knn_scores`; EmptyTrainSet when there are no rows
+    or the labels are not one 0 or 1 per row, ValueError for a k that
+    is not in 1..n."""
     train_x = np.asarray(train_x, dtype=float)
     train_y = np.asarray(train_y)
-    queries = np.asarray(queries, dtype=float)
     n = len(train_x)
     if n == 0:
         raise EmptyTrainSet("no training rows")
     if train_y.shape != (n,) or not ((train_y == 0) | (train_y == 1)).all():
         raise EmptyTrainSet(f"{n} training rows need {n} labels of 0 or 1, got {train_y.shape}")
-    train_y = train_y.astype(int)
     if not (1 <= k <= n):
         raise ValueError(f"k must be in 1..{n}, got {k}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        xx = (train_x * train_x).sum(axis=1)
+    return train_x, train_y.astype(int), xx
+
+
+def _knn_scores(train_x, train_y, xx, queries, k: int) -> np.ndarray:
+    """:func:`knn_scores` over the output of :func:`_knn_train`."""
+    queries = np.asarray(queries, dtype=float)
+    n = len(train_x)
     if queries.ndim == 1:
         queries = queries.reshape(1, -1)
     if queries.shape[1] != train_x.shape[1]:
@@ -746,7 +761,6 @@ def knn_scores(train_x, train_y, queries, k: int = 5) -> np.ndarray:
     buf = np.empty((min(chunk, len(queries)), n))
     # a non-finite value only sends a query to the full scan
     with np.errstate(over="ignore", invalid="ignore"):
-        xx = (train_x * train_x).sum(axis=1)
         xx_max = xx.max()
         for start in range(0, len(queries), chunk):
             q = queries[start:start + chunk]
@@ -793,8 +807,12 @@ class NearestNeighbors:
             raise UsageError(f"knn_k must be in 1..{len(x)}")
         return cls(x.copy(), y.copy(), params["knn_k"])
 
+    def __post_init__(self):
+        # checked and |x|² taken once, when fitted or loaded, not per call
+        self._train = _knn_train(self.x, self.y, self.k)
+
     def scores(self, x) -> np.ndarray:
-        return knn_scores(self.x, self.y, x, self.k)
+        return _knn_scores(*self._train, x, self.k)
 
     def to_payload(self) -> dict:
         return {"x": _pack(self.x, "<f8"), "y": _pack(self.y, "|u1"), "k": self.k}

@@ -10,6 +10,16 @@ between them is segmented on its own.
 
 The segmentation minimizes total cost; ties go to fewer words, then to
 the lexicographically smaller word sequence.
+
+The search runs over the word lattice of each part, whose nodes are
+the cuts where a word can start.  The scan for words at a cut ends at
+the first piece that no word starts with (a table holds every prefix
+of every word).  An unknown run ends where a word starts or at the end
+of the part, and the scan over those ends stops once the run alone
+costs more than the best split found so far.  That stop is exact when
+no word costs less than 0, which holds for every vocabulary of two or
+more words; a one-word vocabulary, whose word costs ln(ln 2) < 0,
+scans every end.
 """
 
 from __future__ import annotations
@@ -22,18 +32,19 @@ from pathlib import Path
 
 from domaintriage.model import UsageError
 
-_WORD_RE = re.compile(r"^[a-z]+$")
+_WORD_RE = re.compile(r"[a-z]+")
 _SEPARATORS = re.compile(r"[.-]")
 
 
 def _read_words(text: str) -> list[str]:
+    """The words of ``text``, one per line; lines end at ``\n`` only."""
     words = []
     seen = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         word = line.strip()
         if not word:
             continue
-        if not _WORD_RE.match(word):
+        if not _WORD_RE.fullmatch(word):
             raise UsageError(f"line {lineno}: {word!r} is not lowercase a-z")
         if word in seen:
             raise UsageError(f"line {lineno}: duplicate word {word!r}")
@@ -49,6 +60,10 @@ def _read_word_file(path: str) -> list[str]:
         return _read_words(Path(path).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, UsageError) as exc:
         raise UsageError(f"{path}: {exc}") from exc
+
+
+def _packaged_words(name: str) -> list[str]:
+    return _read_words(resources.files("domaintriage.data").joinpath(name).read_text("utf-8"))
 
 
 @dataclass
@@ -70,14 +85,28 @@ class LanguageModel:
         vocab = list(self.boosted) + [w for w in self.words if w not in boost_set]
         if len(set(vocab)) != len(vocab):
             raise UsageError("duplicate words in base list")
-        for w in vocab:
-            if not _WORD_RE.match(w):
-                raise UsageError(f"{w!r} is not lowercase a-z")
+        # one pass over all the letters; the regex only names the bad word
+        letters = "".join(vocab)
+        if vocab and not (all(vocab) and letters.isascii() and letters.isalpha()
+                          and letters.islower()):
+            bad = next(w for w in vocab if not _WORD_RE.fullmatch(w))
+            raise UsageError(f"{bad!r} is not lowercase a-z")
         n = len(vocab)
         scale = math.log(n + 1)
-        self._cost = {w: math.log(rank * scale) for rank, w in enumerate(vocab, start=1)}
+        costs = [math.log(rank * scale) for rank in range(1, n + 1)]
+        # every proper prefix of a word maps to None, every word to its
+        # cost; a key's shorter prefixes are always keys too
+        table: dict[str, float | None] = {}
+        for w in vocab:
+            for k in range(len(w) - 1, 0, -1):
+                if w[:k] in table:
+                    break
+                table[w[:k]] = None
+        table.update(zip(vocab, costs))
+        self._cost = table
         self._oov_char_cost = 10.0 + scale
-        self._max_len = max((len(w) for w in vocab), default=0)
+        # the unknown-run bound in _segment_chunk needs word costs >= 0
+        self._bounded = min(costs, default=0.0) >= 0.0
         self._size = n
 
     @property
@@ -92,69 +121,85 @@ class LanguageModel:
         return length * self._oov_char_cost
 
     @classmethod
-    def from_files(cls, wordlist_path: str, boost_path: str | None = None) -> "LanguageModel":
-        words = _read_word_file(wordlist_path)
+    def from_files(cls, wordlist_path: str | None, boost_path: str | None = None) -> "LanguageModel":
+        """The wordlist at ``wordlist_path`` (the packaged one when it is
+        None) with the words at ``boost_path``, if any, boosted."""
+        words = _read_word_file(wordlist_path) if wordlist_path else _packaged_words("wordlist.txt")
         boosted = _read_word_file(boost_path) if boost_path else []
         return cls(words=words, boosted=boosted)
 
     @classmethod
     def default(cls) -> "LanguageModel":
-        base = resources.files("domaintriage.data").joinpath("wordlist.txt").read_text("utf-8")
-        boost = resources.files("domaintriage.data").joinpath("boost.txt").read_text("utf-8")
-        return cls(words=_read_words(base), boosted=_read_words(boost))
-
-
-# a segmentation candidate: total cost, word count, then the words
-# themselves, so tuple comparison is exactly the tie-break order
-_Entry = tuple[float, int, tuple[str, ...]]
+        return cls(words=_packaged_words("wordlist.txt"), boosted=_packaged_words("boost.txt"))
 
 
 def _segment_chunk(chunk: str, model: LanguageModel) -> list[str]:
     """Minimum-cost split of one separator-free chunk.
 
-    Suffix DP with two states per position: the best completion
-    starting anywhere (``best_any``) and the best completion whose
-    first piece is a vocabulary word (``best_voc``).  An OOV run may
-    only be followed by a vocabulary word or the end of the string,
-    which is what makes OOV runs maximal.
+    Suffix DP over the word lattice, with two states per position i:
+    the best split of ``chunk[i:]`` (``any``) and the best whose first
+    piece is a vocabulary word (``voc``).  An unknown run may only be
+    followed by a word or the end, which keeps unknown runs maximal.
+    Each state is a cost, a word count and the cut after its first
+    piece; the words are read back along the cuts at the end.
+
+    Costs are ``word_cost + tail`` and ``oov_cost(j - i) + tail``, so
+    totals are bit-equal to folding the pieces from the right.  Every
+    candidate at i starts with a different prefix of ``chunk[i:]``,
+    and the shorter of two prefixes is the smaller string, so on equal
+    (cost, count) the word-tuple order prefers the nearer cut.
     """
     n = len(chunk)
-    empty: _Entry = (0.0, 0, ())
-    best_any: list[_Entry | None] = [None] * (n + 1)
-    best_voc: list[_Entry | None] = [None] * (n + 1)
-    best_any[n] = best_voc[n] = empty
-
+    table = model._cost
+    per_char = model._oov_char_cost
+    bounded = model._bounded
+    any_cost, any_count, any_cut = [0.0] * (n + 1), [0] * (n + 1), [n] * (n + 1)
+    voc_cost, voc_count, voc_cut = [0.0] * (n + 1), [0] * (n + 1), [n] * (n + 1)
+    # positions where a word starts, and n, in descending order
+    starts = [n]
     for i in range(n - 1, -1, -1):
-        voc: _Entry | None = None
-        limit = min(n, i + model._max_len)
-        for j in range(i + 1, limit + 1):
-            piece = chunk[i:j]
-            cost = model.word_cost(piece)
+        best = None
+        ends = []
+        for j in range(i + 1, n + 1):
+            cost = table.get(chunk[i:j], False)
+            if cost is False:  # no word starts with this piece
+                break
             if cost is None:
                 continue
-            tail = best_any[j]
-            if tail is None:
+            ends.append(j)
+            total = cost + any_cost[j]
+            count = any_count[j] + 1
+            if best is None or total < best or (total == best and count < best_count):
+                best, best_count, best_cut = total, count, j
+        if ends:
+            voc_cost[i], voc_count[i], voc_cut[i] = best, best_count, best_cut
+        for j in reversed(starts):
+            if j in ends:
                 continue
-            cand = (cost + tail[0], 1 + tail[1], (piece,) + tail[2])
-            if voc is None or cand < voc:
-                voc = cand
-        best_voc[i] = voc
-        best = voc
-        for j in range(i + 1, n + 1):
-            piece = chunk[i:j]
-            if model.word_cost(piece) is not None:
-                continue
-            tail = best_voc[j]
-            if tail is None:
-                continue
-            cand = (model.oov_cost(j - i) + tail[0], 1 + tail[1], (piece,) + tail[2])
-            if best is None or cand < best:
-                best = cand
-        best_any[i] = best
+            run = (j - i) * per_char
+            # with every tail cost >= 0, fl(run + tail) >= run, and run
+            # only grows with j: no later cut can reach the best
+            if bounded and best is not None and run > best:
+                break
+            total = run + voc_cost[j]
+            count = voc_count[j] + 1
+            if best is None or total < best or (total == best and (
+                    count < best_count or (count == best_count and j < best_cut))):
+                best, best_count, best_cut = total, count, j
+        any_cost[i], any_count[i], any_cut[i] = best, best_count, best_cut
+        if ends:
+            starts.append(i)
 
-    result = best_any[0]
-    assert result is not None  # an all-OOV run is always available
-    return list(result[2])
+    words = []
+    i = 0
+    while i < n:
+        j = any_cut[i]
+        words.append(chunk[i:j])
+        if j < n and table.get(words[-1]) is None:  # an unknown run: a word follows
+            words.append(chunk[j:voc_cut[j]])
+            j = voc_cut[j]
+        i = j
+    return words
 
 
 def segment_keywords(label_part: str, model: LanguageModel | None = None) -> list[str]:

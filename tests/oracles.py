@@ -197,6 +197,55 @@ def oracle_segment(chunk: str, model):
     return list(best[2])
 
 
+def segment_chunk_tuples(chunk: str, model) -> list[str]:
+    """The suffix DP that segmented chunks before the word lattice,
+    kept as written then; only the longest word length is now taken
+    from the model's word lists.
+
+    Two states per position: the best completion starting anywhere
+    (``best_any``) and the best completion whose first piece is a
+    vocabulary word (``best_voc``), each a (cost, count, words) tuple,
+    so tuple comparison is exactly the tie-break order.  Every unknown
+    run is priced against every end.
+    """
+    max_len = max((len(w) for w in model.words + model.boosted), default=0)
+    n = len(chunk)
+    empty = (0.0, 0, ())
+    best_any = [None] * (n + 1)
+    best_voc = [None] * (n + 1)
+    best_any[n] = best_voc[n] = empty
+
+    for i in range(n - 1, -1, -1):
+        voc = None
+        limit = min(n, i + max_len)
+        for j in range(i + 1, limit + 1):
+            piece = chunk[i:j]
+            cost = model.word_cost(piece)
+            if cost is None:
+                continue
+            tail = best_any[j]
+            if tail is None:
+                continue
+            cand = (cost + tail[0], 1 + tail[1], (piece,) + tail[2])
+            if voc is None or cand < voc:
+                voc = cand
+        best_voc[i] = voc
+        best = voc
+        for j in range(i + 1, n + 1):
+            piece = chunk[i:j]
+            if model.word_cost(piece) is not None:
+                continue
+            tail = best_voc[j]
+            if tail is None:
+                continue
+            cand = (model.oov_cost(j - i) + tail[0], 1 + tail[1], (piece,) + tail[2])
+            if best is None or cand < best:
+                best = cand
+        best_any[i] = best
+
+    return list(best_any[0][2])
+
+
 def _best_split_recursive(x, y, idx, feat_ids, min_leaf):
     """Exhaustive best (feature, threshold) by weighted Gini.
 

@@ -381,6 +381,23 @@ def test_segment_custom_wordlist(tmp_path, capsys):
     assert out["keywords"] == ["alpha", "beta"]
 
 
+def test_segment_boost_alone_boosts_the_packaged_wordlist(tmp_path, capsys):
+    code, (out,) = _run(capsys, "segment", "--word", "sanantonio")
+    assert (code, out["keywords"]) == (0, ["san", "antonio"])
+    boost = tmp_path / "boost.txt"
+    boost.write_text("sanantonio\n")
+    code, (out,) = _run(capsys, "segment", "--word", "sanantonio", "--boost", str(boost))
+    assert (code, out["keywords"]) == (0, ["sanantonio"])
+    missing = tmp_path / "nonexistent.txt"
+    bad = tmp_path / "bad.txt"
+    bad.write_text("San\n")
+    for path in (missing, bad):
+        assert main(["segment", "--word", "sanantonio", "--boost", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ")
+
+
 def test_exit_codes(tmp_path, capsys):
     # missing file: 2
     assert main(["extract", "--in", str(tmp_path / "nope.csv"),

@@ -39,7 +39,7 @@ INVARIANT_SITES = (
     "ingest.write_features",
     "ingest.write_features",
     "ingest.write_features",
-    "learn.knn_scores",
+    "learn._knn_train",
     "learn.majority_vote",
     "learn.train_random_forest",
     "model.LabeledDataset.feature_matrix",
