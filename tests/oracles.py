@@ -402,3 +402,42 @@ def roc_per_threshold(scores, labels) -> tuple[list[tuple[float, float]], float]
     for (x0, y0), (x1, y1) in zip(points, points[1:]):
         area += (x1 - x0) * (y0 + y1) / 2.0
     return points, area
+
+
+def floyd_choices_from_words(words, p: int, mf: int):
+    """``np.sort(Generator.choice(p, mf, replace=False))`` for 0 < mf < p
+    where numpy uses Floyd's algorithm, call after call, as numpy's C
+    code takes it from the generator's 32-bit words ``words`` (an
+    iterable): Lemire's bounded integer (``buffered_bounded_lemire_uint32``),
+    Floyd's loop over a hash set, then the shuffle (``_shuffle_int``).
+    Yields one sorted list per call until the words run out."""
+    words = iter(words)
+
+    def bounded(rng: int) -> int:  # on [0, rng]
+        if rng == 0:
+            return 0
+        rng_excl = rng + 1
+        m = next(words) * rng_excl
+        leftover = m & 0xFFFFFFFF
+        if leftover < rng_excl:
+            threshold = (0xFFFFFFFF - rng) % rng_excl
+            while leftover < threshold:
+                m = next(words) * rng_excl
+                leftover = m & 0xFFFFFFFF
+        return m >> 32
+
+    while True:
+        try:
+            idx, hash_set = [], set()
+            for j in range(p - mf, p):
+                val = bounded(j)
+                if val in hash_set:
+                    val = j
+                hash_set.add(val)
+                idx.append(val)
+            for i in reversed(range(1, mf)):
+                k = bounded(i)
+                idx[i], idx[k] = idx[k], idx[i]
+        except StopIteration:
+            return
+        yield sorted(idx)
