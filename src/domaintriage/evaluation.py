@@ -237,9 +237,46 @@ def full_report(model: EnsembleModel, x17, y) -> list[EvalReport]:
 
 
 def write_report_json(reports: list[EvalReport], path: str) -> None:
+    """Write the bytes of ``json.dump({"reports": [r.to_dict() for r in
+    reports]}, fh, indent=2)`` and a newline.
+
+    json's indenting encoder is pure Python, and the ROC points are
+    nearly all of the file, so each report's ``roc_points`` (the last
+    field of :meth:`EvalReport.to_dict`) is written in one join by
+    :func:`_roc_points_json`.  The other fields still go through
+    ``json.dumps(indent=2)``; a report sits at depth 2 of the file, so
+    each line of its own dump gains two indents.
+    """
+    texts = []
+    for r in reports:
+        fields = r.to_dict()
+        points = _roc_points_json(fields.pop("roc_points"))
+        head = json.dumps(fields, indent=2)[:-2].replace("\n", "\n    ")  # less its "\n}"
+        texts.append(f'{head},\n      "roc_points": {points}\n    }}')
+    listed = "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
     with atomic_write(path, encoding="utf-8") as fh:
-        json.dump({"reports": [r.to_dict() for r in reports]}, fh, indent=2)
-        fh.write("\n")
+        fh.write(f'{{\n  "reports": {listed}\n}}\n')
+
+
+# one [fpr, tpr] point of a report's roc_points, which sit at depth 3 of
+# the report file: the point's brackets at depth 4, its numbers at 5
+_POINT_JSON = "        [\n          %s,\n          %s\n        ]"
+
+
+def _roc_points_json(points) -> str:
+    """``points`` as ``json.dump(..., indent=2)`` writes a report's
+    ``roc_points`` in the report file.  Pairs of finite floats (numpy
+    ones too) are written with ``float.__repr__``, as json's encoder
+    writes them; anything else (no points, NaN, an infinity, another
+    type or length) goes through ``json.dumps``."""
+    try:
+        text = ",\n".join([_POINT_JSON % (float.__repr__(fpr), float.__repr__(tpr))
+                           for fpr, tpr in points])
+    except (TypeError, ValueError):
+        text = ""
+    if not text or "n" in text:  # the repr of a finite float has no "n"
+        return json.dumps(points, indent=2).replace("\n", "\n      ")
+    return "[\n" + text + "\n      ]"
 
 
 def write_report_csv(reports: list[EvalReport], path: str) -> None:

@@ -157,22 +157,72 @@ class Tree:
     def from_payload(cls, obj: dict, width: int) -> "Tree":
         """Load and validate one tree whose splits may use features
         0..width-1; anything else raises CorruptPayload."""
-        feature = _unpack(obj["feature"], "<i4", 1, "tree feature").astype(np.intp)
-        right = _unpack(obj["right"], "<i4", 1, "tree right").astype(np.intp)
-        value = _unpack(obj["value"], "<f8", 1, "tree value")
-        n = len(feature)
-        if n == 0 or right.shape != (n,) or value.shape != (n,):
-            raise CorruptPayload("tree arrays must be non-empty and of equal length")
-        if not np.isfinite(value).all():
-            raise CorruptPayload("tree value is not finite")
-        split = feature >= 0
-        if not (split | ((value >= 0.0) & (value <= 1.0))).all():
-            raise CorruptPayload("tree probability outside [0, 1]")
-        if not ((feature == -1) | (split & (feature < width))).all():
-            raise CorruptPayload(f"tree feature index outside -1..{width - 1}")
-        if not ((right >= 0) & (right < n) & (~split | (right > np.arange(n) + 1))).all():
-            raise CorruptPayload("tree child index does not follow its parent")
-        return cls(feature=feature, right=right, value=value)
+        (tree,), _ = _load_trees([obj], width)
+        return tree
+
+
+def _load_trees(objs, width: int) -> tuple[list[Tree], "_NodeTable"]:
+    """Load and validate the trees of a model file, and join them into
+    their node table.
+
+    Each tree's three columns are decoded in turn, and the trees decoded
+    are then checked in one pass over their joined columns.  The error
+    raised is the one a tree-by-tree loader gives: that of the first bad
+    tree, for its first failed check, in this order: a column that does
+    not decode (or is missing), columns empty or of unequal length, a
+    value that is not finite, a leaf probability outside [0, 1], a
+    feature index outside -1..width-1, a right child that does not
+    follow its parent.  So a bad value in one tree is reported before a
+    column of a later tree that does not decode.
+    """
+    columns, failure = [], None
+    for obj in objs:
+        try:
+            decoded = (_unpack(obj["feature"], "<i4", 1, "tree feature"),
+                       _unpack(obj["right"], "<i4", 1, "tree right"),
+                       _unpack(obj["value"], "<f8", 1, "tree value"))
+        except (CorruptPayload, KeyError, TypeError, ValueError, OverflowError) as exc:
+            failure = exc  # raised once the trees before this one are checked
+            break
+        n = len(decoded[0])
+        if n == 0 or decoded[1].shape != (n,) or decoded[2].shape != (n,):
+            failure = CorruptPayload("tree arrays must be non-empty and of equal length")
+            break
+        columns.append(decoded)
+    if columns:
+        feature, right, value = (np.concatenate(column, dtype=dtype) for column, dtype in
+                                 zip(zip(*columns), (np.intp, np.intp, float)))
+        sizes = np.array([len(f) for f, _, _ in columns])
+        error = _tree_error(feature, right, value, sizes, width)
+        if error:
+            raise CorruptPayload(error)
+    if failure is not None:
+        raise failure
+    if not columns:
+        raise CorruptPayload("a forest needs at least one tree")
+    cuts = np.cumsum(sizes)[:-1]
+    trees = [Tree(feature=f, right=r, value=v) for f, r, v in
+             zip(np.split(feature, cuts), np.split(right, cuts), np.split(value, cuts))]
+    return trees, _NodeTable(feature, right, value, sizes)
+
+
+def _tree_error(feature, right, value, sizes, width: int) -> str | None:
+    """The message for the first tree, in tree order, whose joined
+    columns (``sizes`` nodes each) fail a check, for its first failed
+    check; None if every tree passes."""
+    tree = np.repeat(np.arange(len(sizes)), sizes)
+    local = np.arange(len(feature)) - (np.cumsum(sizes) - sizes)[tree]
+    split = feature >= 0
+    checks = [
+        (~np.isfinite(value), "tree value is not finite"),
+        (~(split | ((value >= 0.0) & (value <= 1.0))), "tree probability outside [0, 1]"),
+        (~((feature == -1) | (split & (feature < width))),
+         f"tree feature index outside -1..{width - 1}"),
+        (~((right >= 0) & (right < sizes[tree]) & (~split | (right > local + 1))),
+         "tree child index does not follow its parent"),
+    ]
+    failed = [(tree[np.argmax(bad)], i) for i, (bad, _) in enumerate(checks) if bad.any()]
+    return checks[min(failed)[1]][1] if failed else None
 
 
 # (distinct row, drawn feature) keys, and count bins, in one chunk of
@@ -207,9 +257,11 @@ def train_random_forest(
     """Bagged greedy trees on Gini impurity, with per-split random
     feature subsets.
 
-    ``max_features`` defaults to ceil(sqrt(p)); it must be an integer
-    (numpy ones too, bools not) of at least 0, or InvalidHyperparameter
-    is raised before anything is drawn.  Tree i draws all its
+    ``max_features`` defaults to ceil(sqrt(p)).  ``n_trees`` must be an
+    integer of at least 1, ``seed`` and ``max_features`` at least 0,
+    ``max_depth`` at least 0 and ``min_leaf`` at least 1 (numpy integers
+    are integers, bools are not), or InvalidHyperparameter is raised
+    before anything is drawn.  Tree i draws all its
     randomness from ``default_rng(seed + i)``: first its bootstrap
     sample of n rows, then, at each node it tries to split, in preorder,
     a sorted subset of ``max_features`` features (every feature, with no
@@ -245,13 +297,11 @@ def train_random_forest(
         raise EmptyData(f"{len(x)} rows but {len(y)} labels")
     if not ((y == 0) | (y == 1)).all():
         raise ValueError("labels must be 0 or 1")
-    if max_features is not None and (isinstance(max_features, bool)
-                                     or not isinstance(max_features, (int, np.integer))
-                                     or max_features < 0):
-        raise InvalidHyperparameter(f"max_features must be an integer of at least 0, got {max_features!r}")
+    _check_ints(n_trees=n_trees, seed=seed, max_depth=max_depth, min_leaf=min_leaf,
+                **({} if max_features is None else {"max_features": max_features}))
     n, p = x.shape
     mf = int(max_features) if max_features is not None else math.ceil(math.sqrt(p))
-    rngs = [np.random.default_rng(seed + i) for i in range(n_trees)]
+    rngs = [np.random.default_rng(int(seed) + i) for i in range(n_trees)]
     rows, weights, bounds = _samples(rngs, n, bootstrap)
     draws = [_FeatureDraws(rng, p, mf) for rng in rngs] if mf < p else None
     return _grow_forest(x, y, rows, weights, bounds, draws, max_depth=max_depth, min_leaf=min_leaf)
@@ -603,44 +653,126 @@ def _best_splits(ranks: _Ranks, r, w, sizes, weight, pos, feats, min_leaf):
 _MAX_PAIRS = 1 << 20
 
 
-def forest_predict_proba(trees: list[Tree], x) -> np.ndarray:
-    """Mean of member-tree leaf probabilities.
+class _NodeTable:
+    """A forest's trees joined into one node table, and the lockstep
+    walk that scores rows on it.  Each member builds its table once.
 
-    The trees are joined into one node table and every (row, tree) pair
-    walks it in lockstep, one numpy step per level.  The leaf
-    probabilities are then added tree by tree, in tree order, so each
-    score is the same sum a tree-at-a-time loop would give.
+    The trees' columns are joined end to end in tree order; ``starts``
+    holds each tree's root.  Per node the table keeps:
+
+    - ``column``: the split's feature less the node's tree index (a
+      leaf's feature counts as 0).  A block of n rows is copied
+      feature-major, feature f of row r at ``f * n + r``, and pair
+      ``tree * n + row`` reads its value at ``column * n + pair``.
+    - ``value``: the tree's own column, the threshold at a split and the
+      probability of label 1 at a leaf.
+    - ``kids[2 * node + goes_left]``: the next node.  At a split these
+      are its right and left children; at a leaf both are the leaf
+      itself, so a pair that reached its leaf stays there whatever its
+      row holds (NaN and +-inf included), and the walk needs no
+      per-pair exit test.
+    - ``split``: whether the node is a split.
     """
-    x = np.asarray(x, dtype=float)
-    roots = np.cumsum([0] + [len(t.feature) for t in trees[:-1]])
-    feature = np.concatenate([t.feature for t in trees])
-    right = np.concatenate([t.right + root for t, root in zip(trees, roots)])
-    value = np.concatenate([t.value for t in trees])
-    acc = np.zeros(len(x), dtype=float)
-    chunk = max(1, _MAX_PAIRS // len(trees))
-    for start in range(0, len(x), chunk):
-        block = x[start:start + chunk]
+
+    def __init__(self, feature, right, value, sizes):
+        """``feature``, ``right`` and ``value`` are the trees' columns
+        joined, and ``sizes`` each tree's node count."""
+        split = feature >= 0
+        tree = np.repeat(np.arange(len(sizes)), sizes)
+        node = np.arange(len(feature))
+        self.starts = np.cumsum(sizes) - sizes
+        self.column = np.where(split, feature, 0) - tree
+        self.value = value
+        self.split = split
+        kids = np.empty((len(feature), 2), dtype=np.intp)
+        kids[:, 0] = np.where(split, right + self.starts[tree], node)
+        kids[:, 1] = node + split
+        self.kids = kids.ravel()
+
+    @classmethod
+    def join(cls, trees: list[Tree]) -> "_NodeTable":
+        return cls(np.concatenate([t.feature for t in trees]),
+                   np.concatenate([t.right for t in trees]),
+                   np.concatenate([t.value for t in trees]),
+                   np.array([len(t.feature) for t in trees]))
+
+    def scores(self, x) -> np.ndarray:
+        """Mean leaf probability over the trees of each row of ``x``.
+        The leaf probabilities are added tree by tree, in tree order,
+        so each score is the same sum a tree-at-a-time loop gives."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2:
+            raise FeatureDimensionMismatch(f"expected a matrix of rows, got shape {x.shape}")
+        n_trees = len(self.starts)
+        acc = np.zeros(len(x), dtype=float)
+        chunk = max(1, _MAX_PAIRS // n_trees)
+        for start in range(0, len(x), chunk):
+            block = x[start:start + chunk]
+            n = len(block)
+            for leaf_probs in self.value[self._leaves(block)].reshape(n_trees, n):
+                acc[start:start + n] += leaf_probs
+        return acc / n_trees
+
+    def _leaves(self, block: np.ndarray) -> np.ndarray:
+        """The leaf of every (tree, row) pair of ``block``, at
+        ``tree * len(block) + row``.
+
+        All pairs step down one level per numpy step.  A pair on a leaf
+        stays there, so the live pairs are compacted only when fewer
+        than half of them are still at splits; the others are then
+        parked on their leaves.
+        """
         n = len(block)
-        rows = np.tile(np.arange(n), len(trees))
-        node = np.repeat(roots, n)
-        live = np.flatnonzero(feature[node] >= 0)
-        while len(live):
-            at = node[live]
-            go_left = block[rows[live], feature[at]] <= value[at]
-            at = np.where(go_left, at + 1, right[at])
-            node[live] = at
-            live = live[feature[at] >= 0]
-        for leaf_probs in value[node].reshape(len(trees), n):
-            acc[start:start + n] += leaf_probs
-    return acc / len(trees)
+        values = block.T.ravel()
+        base = self.column * n
+        at = np.repeat(self.starts, n)
+        pair = np.arange(len(at))
+        leaf = np.empty_like(at)
+        while True:
+            live = self.split[at]
+            k = np.count_nonzero(live)
+            if 2 * k < len(at):
+                leaf[pair] = at
+                if not k:
+                    return leaf
+                at, pair = at[live], pair[live]
+            i = base[at]
+            i += pair
+            goes_left = values[i] <= self.value[at]
+            np.multiply(at, 2, out=i)
+            i += goes_left
+            at = self.kids[i]
+
+
+def forest_predict_proba(trees: list[Tree], x) -> np.ndarray:
+    """Mean of member-tree leaf probabilities: the scores of the trees'
+    :class:`_NodeTable`, joined for this call (a member joins its table
+    once and walks it on every call).
+
+    Every (row, tree) pair walks the joined table in lockstep, one numpy
+    step per level.  A leaf points at itself, so a pair that reached it
+    keeps its place there, and the pairs still at splits are compacted
+    only when they fall below half of those walked.  The leaf
+    probabilities are added tree by tree, in tree order, so each score
+    is bit-equal to a tree-at-a-time loop's.
+    """
+    return _NodeTable.join(trees).scores(x)
 
 
 @dataclass
 class RandomForest:
-    """The ``rf`` member: bagged trees, scored by mean leaf probability."""
+    """The ``rf`` member: bagged trees, scored by mean leaf probability.
+
+    The trees are joined into one :class:`_NodeTable` once per member:
+    when loaded, from the columns the loader has just checked, or else
+    on the first :meth:`scores` call.  Every call walks that table, as
+    :func:`forest_predict_proba` does, so the scores are bit-equal to
+    it.
+    """
 
     kind = "rf"
     trees: list[Tree]
+    _table = None
 
     @classmethod
     def fit(cls, x, y, params: dict, seed: int) -> "RandomForest":
@@ -650,17 +782,23 @@ class RandomForest:
         ))
 
     def scores(self, x) -> np.ndarray:
-        return forest_predict_proba(self.trees, x)
+        if self._table is None:
+            self._table = _NodeTable.join(self.trees)
+        return self._table.scores(x)
 
     def to_payload(self) -> dict:
         return {"trees": [t.to_payload() for t in self.trees]}
 
     @classmethod
     def from_payload(cls, obj: dict, width: int) -> "RandomForest":
-        trees = [Tree.from_payload(t, width) for t in obj["trees"]]
-        if not trees:
-            raise CorruptPayload("a forest needs at least one tree")
-        return cls(trees)
+        return cls._loaded(obj["trees"], width)
+
+    @classmethod
+    def _loaded(cls, objs, width: int) -> "RandomForest":
+        trees, table = _load_trees(objs, width)
+        member = cls(trees)
+        member._table = table
+        return member
 
 
 class DecisionTree(RandomForest):
@@ -679,7 +817,7 @@ class DecisionTree(RandomForest):
 
     @classmethod
     def from_payload(cls, obj: dict, width: int) -> "DecisionTree":
-        return cls([Tree.from_payload(obj["tree"], width)])
+        return cls._loaded([obj["tree"]], width)
 
 
 # --- logistic regression ---------------------------------------------------
@@ -978,6 +1116,8 @@ DEFAULT_PARAMS = {
 
 # the least usable value of each integer hyperparameter
 _PARAM_MINIMUMS = {"n_trees": 1, "max_depth": 0, "min_leaf": 1, "knn_k": 1, "lr_epochs": 0}
+# and of the other integers the trainers take
+_INT_MINIMUMS = {**_PARAM_MINIMUMS, "seed": 0, "max_features": 0}
 
 
 def _is_number(value) -> bool:
@@ -985,19 +1125,37 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _int_error(name: str, value) -> str | None:
+    """Why ``value`` is unusable as the integer ``name``, or None: it
+    must be an integer (numpy ones too, bools not) of at least
+    ``_INT_MINIMUMS[name]``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        return f"{name} must be an integer, got {value!r}"
+    if value < _INT_MINIMUMS[name]:
+        return f"{name} must be at least {_INT_MINIMUMS[name]}, got {value}"
+    return None
+
+
+def _check_ints(**values) -> None:
+    """Raise InvalidHyperparameter for the first of ``values`` that
+    :func:`_int_error` refuses."""
+    for name, value in values.items():
+        error = _int_error(name, value)
+        if error:
+            raise InvalidHyperparameter(error)
+
+
 def _param_error(params: dict) -> str | None:
     """Why a set of hyperparameters is unusable, or None.  It must have
-    the keys of ``DEFAULT_PARAMS``; the integer ones must be ints at or
-    above their least usable value, and l2 and lr_rate finite numbers in
-    range."""
+    the keys of ``DEFAULT_PARAMS``; the integer ones must be integers
+    at or above their least usable value, and l2 and lr_rate finite
+    numbers in range."""
     if params.keys() != DEFAULT_PARAMS.keys():
         return f"hyperparameters must be {sorted(DEFAULT_PARAMS)}, got {sorted(params)}"
-    for name, least in _PARAM_MINIMUMS.items():
-        value = params[name]
-        if not (_is_number(value) and isinstance(value, int)):
-            return f"{name} must be an integer, got {value!r}"
-        if value < least:
-            return f"{name} must be at least {least}, got {value}"
+    for name in _PARAM_MINIMUMS:
+        error = _int_error(name, params[name])
+        if error:
+            return error
     l2, rate = params["l2"], params["lr_rate"]
     if not (_is_number(l2) and math.isfinite(l2) and l2 >= 0):
         return f"l2 must be finite and at least 0, got {l2!r}"
@@ -1038,15 +1196,16 @@ def train_ensemble(
 
     ``x17`` is the raw (n, 17) matrix with NaN for absent entries.
     Hyperparameter overrides: n_trees, max_depth, min_leaf, knn_k, l2,
-    lr_rate, lr_epochs.  ``seed`` and the indices must be integers (numpy
-    ones are taken as ``int``, bools refused), and ``seed`` at least 0.
+    lr_rate, lr_epochs.  ``seed``, the indices and the integer
+    hyperparameters must be integers (numpy ones are taken as ``int``,
+    bools refused), and ``seed`` at least 0.
     """
     params = {**DEFAULT_PARAMS, **overrides}
     error = _param_error(params)
     if error:
         raise InvalidHyperparameter(error)
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise UsageError(f"seed must be an integer of at least 0, got {seed!r}")
+    _check_ints(seed=seed)
+    params.update((name, int(params[name])) for name in _PARAM_MINIMUMS)
     seed = int(seed)
     if not models:
         raise UsageError("need at least one member model")

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from domaintriage import evaluation
@@ -16,6 +16,7 @@ from domaintriage.evaluation import (
     ClassTooSmall,
     ConfusionCounts,
     EmptyCounts,
+    EvalReport,
     SingleClass,
     auc,
     confusion,
@@ -276,6 +277,33 @@ def test_evaluate_predictions_report_fields():
     assert d["classifier"] == "toy"
     assert d["counts"] == {"tp": 1, "tn": 2, "fp": 0, "fn": 1}
     assert isinstance(d["roc_points"][0], list)
+
+
+_ROC_NUMBERS = st.one_of(
+    st.sampled_from([0.0, 1.0, 1 / 3, 1e-05, 5e-324, -0.0, 2 / 3 - 1e-17]),
+    st.floats(0.0, 1.0), st.floats(0.0, 1.0).map(np.float64), st.floats(), st.integers(0, 3),
+)
+_RATES = st.one_of(st.none(), st.floats(0.0, 1.0), st.floats(0.0, 1.0).map(np.float64))
+_REPORTS = st.builds(
+    EvalReport,
+    classifier_name=st.one_of(st.sampled_from(["rf", "ensemble", "", 'a"b\\c', "\n\t", "Ä\u2028💥"]),
+                              st.text(max_size=8)),
+    counts=st.builds(ConfusionCounts, *[st.integers(0, 10**6)] * 4),
+    acc=st.floats(0.0, 1.0),
+    fpr=_RATES,
+    fnr=_RATES,
+    auc=st.one_of(st.floats(0.0, 1.0), st.just(float("nan"))),
+    roc_points=st.lists(st.tuples(_ROC_NUMBERS, _ROC_NUMBERS), max_size=50),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(reports=st.lists(_REPORTS, max_size=4))
+def test_report_json_is_the_indenting_encoders_bytes(reports, tmp_path):
+    path = tmp_path / "report.json"
+    write_report_json(reports, str(path))
+    want = json.dumps({"reports": [r.to_dict() for r in reports]}, indent=2) + "\n"
+    assert path.read_bytes() == want.encode()
 
 
 def test_report_writers(tmp_path):

@@ -1,5 +1,6 @@
 """A forest's feature draws against numpy's ``Generator.choice``, which
-they replace call for call, and the checks on ``max_features``.
+they replace call for call, and the checks on ``max_features`` and the
+forest's other hyperparameters.
 
 numpy does not promise the same ``Generator`` stream across versions
 (NEP 19), so these tests are what flags a numpy that draws differently;
@@ -173,6 +174,32 @@ def test_max_features_is_checked_before_any_draw(bad):
     with pytest.raises(InvalidHyperparameter, match="max_features") as raised:
         train_random_forest(x, y, n_trees=3, max_features=bad)
     assert isinstance(raised.value, UsageError)
+
+
+@pytest.mark.parametrize("bad", [
+    {"n_trees": 0}, {"n_trees": 2.5}, {"n_trees": True}, {"seed": -1}, {"seed": 1.5},
+    {"seed": np.bool_(False)}, {"min_leaf": 0}, {"max_depth": -1},
+], ids=lambda bad: "%s=%r" % next(iter(bad.items())))
+def test_forest_hyperparameters_are_checked_before_any_draw(bad, monkeypatch):
+    def drawn(*args):
+        raise AssertionError("a bootstrap was drawn before the hyperparameters were checked")
+
+    monkeypatch.setattr(learn, "_samples", drawn)
+    x = np.arange(20, dtype=float).reshape(10, 2)
+    y = np.array([0, 1] * 5)
+    (name, _), = bad.items()
+    with pytest.raises(InvalidHyperparameter, match=name):
+        train_random_forest(x, y, **{"n_trees": 3, **bad})
+
+
+def test_forest_hyperparameters_take_numpy_integers():
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(80, 4))
+    y = (x[:, 1] + rng.normal(size=80) > 0).astype(int)
+    params = {"n_trees": 4, "seed": 2, "max_depth": 3, "min_leaf": 2}
+    want = train_random_forest(x, y, **params)
+    got = train_random_forest(x, y, **{k: np.int32(v) for k, v in params.items()})
+    assert [t.to_payload() for t in got] == [t.to_payload() for t in want]
 
 
 def test_max_features_takes_numpy_integers():

@@ -818,7 +818,8 @@ _GOOD_LINE = '{"domain": "a.com", "fetched_on": "2020-05-01", "raw": "ok"}\n'
 _TORN_LINE = '{"domain": "b.com", "fetched_on": "2020-05-0'
 
 
-# JSON nested deeper than the decoder's recursion limit
+# JSON nested deeper than the decoder's recursion limit, which counts the
+# caller's frames too and so has no fixed depth, allows from any caller
 _DEEP_LINE = b"[" * 200_000
 
 
