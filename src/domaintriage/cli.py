@@ -110,33 +110,38 @@ def _cmd_whois_fetch(args) -> int:
     return 0
 
 
-def _extract_features(domains, cache_path, reference_date) -> np.ndarray:
+def _extract_features(domains, cache_path, reference_date) -> tuple[np.ndarray, int]:
     """The (n, 17) feature array of the domains, NaN where a feature is
     absent, with WHOIS data from the cache at ``cache_path`` (if given)
-    wherever it holds the domain."""
+    wherever it holds the domain; and how many domains it holds."""
+    found = 0
+
     def records(cache):
+        nonlocal found
         for domain in domains:
             hit = cache.get(domain.raw) if cache is not None else None
+            found += hit is not None
             # looked up on the module each call, so that a tracer's hook sees it
             yield None if hit is None else whois.parse_whois(hit[0], domain, hit[1])
 
     # the generator holds the only reference to the cache, so the cache
     # is freed once extract_matrix has read every record
-    return extract_matrix(
+    x = extract_matrix(
         domains, records(whois.WhoisCache(cache_path) if cache_path else None), reference_date)
+    return x, found
 
 
 def _cmd_extract(args) -> int:
     dataset = ingest.read_dataset(args.infile)
     reference_date = args.reference_date or dt.date.today()
+    x, with_whois = _extract_features([row.domain for row in dataset.rows], args.cache, reference_date)
     table = ingest.FeatureTable(
         domains=[row.domain.raw for row in dataset.rows],
-        x=_extract_features([row.domain for row in dataset.rows], args.cache, reference_date),
+        x=x,
         y=np.array(dataset.labels(), dtype=int),
         reference_date=reference_date,
     )
     ingest.write_features(table, args.out)
-    with_whois = int((~np.isnan(table.x[:, 0])).sum())
     _emit({
         "rows": len(table),
         "whois_present": with_whois,
@@ -260,7 +265,7 @@ def _cmd_predict(args) -> int:
             print(f"warning: {args.infile}: skipped {feed.skipped} rows whose domain does not parse",
                   file=sys.stderr)
         domains = [row.domain for row in feed.rows]
-    x17 = _extract_features(domains, args.cache, reference_date)
+    x17, _ = _extract_features(domains, args.cache, reference_date)
     labels, scores = learn.ensemble_scores(model, x17)
     for domain, label, score in zip(domains, labels.tolist(), scores.tolist()):
         print(json.dumps({"domain": domain.raw, "label": label, "score": score},

@@ -91,8 +91,10 @@ def split_indices(
     stratified: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seeded train/test index split; indices come back in ascending
-    order so partitions keep the input's row order."""
+    order so partitions keep the input's row order.  Labels other than
+    0 and 1 raise UsageError, split stratified or not."""
     labels = np.asarray(labels, dtype=int)
+    _binary(labels, "labels")
     n = len(labels)
     if n < 2:
         raise ClassTooSmall(f"need at least 2 rows, got {n}")

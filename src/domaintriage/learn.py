@@ -267,16 +267,17 @@ def train_random_forest(
     a sorted subset of ``max_features`` features (every feature, with no
     draw, when ``max_features >= p``).  Each subset is exactly
     ``np.sort(rng.choice(p, max_features, replace=False))``, worked out
-    from blocks of the tree's 32-bit words (:class:`_FeatureDraws`), so
-    a numpy whose ``Generator`` streams change would change every forest;
-    ``tests/test_feature_draws.py`` flags that.  A row drawn several
-    times counts that many times.  A node stays a leaf when it is pure, at
-    ``max_depth``, or has fewer than ``2 * min_leaf`` rows.  Otherwise
-    its split is the (feature, threshold) of least weighted Gini
-    impurity, where a threshold is the midpoint between two consecutive
-    distinct values of the node's rows that keeps at least ``min_leaf``
-    rows on each side; ties go to the earlier feature, then the lower
-    threshold.
+    from blocks of the tree's 32-bit words (:func:`_feature_draws`) until
+    a rejected word hands that tree to numpy's own ``choice`` from that
+    node on, so a numpy whose ``Generator`` streams change would change
+    every forest; ``tests/test_feature_draws.py`` flags that.  A row
+    drawn several times counts that many times.  A node stays a leaf
+    when it is pure, at ``max_depth``, or has fewer than ``2 * min_leaf``
+    rows.  Otherwise its split is the (feature, threshold) of least
+    weighted Gini impurity, where a threshold is the midpoint between two
+    consecutive distinct values of the node's rows that keeps at least
+    ``min_leaf`` rows on each side; ties go to the earlier feature, then
+    the lower threshold.
 
     Each tree keeps its sample as its distinct rows, each with its
     multiplicity (the number of times it was drawn), so the split
@@ -303,7 +304,7 @@ def train_random_forest(
     mf = int(max_features) if max_features is not None else math.ceil(math.sqrt(p))
     rngs = [np.random.default_rng(int(seed) + i) for i in range(n_trees)]
     rows, weights, bounds = _samples(rngs, n, bootstrap)
-    draws = [_FeatureDraws(rng, p, mf) for rng in rngs] if mf < p else None
+    draws = [_feature_draws(rng, p, mf) for rng in rngs] if mf < p else None
     return _grow_forest(x, y, rows, weights, bounds, draws, max_depth=max_depth, min_leaf=min_leaf)
 
 
@@ -338,8 +339,8 @@ _DRAW_BLOCK = 128
 _BLOCK_MAX_FEATURES = 64
 
 
-class _FeatureDraws:
-    """One tree's feature subsets: call after call, exactly
+def _feature_draws(rng, p: int, mf: int):
+    """One tree's feature subsets, one per ``next``: exactly
     ``np.sort(rng.choice(p, mf, replace=False))``, for 0 <= mf < p.
 
     For such a call numpy runs Floyd's algorithm (Bentley and Floyd,
@@ -354,88 +355,53 @@ class _FeatureDraws:
 
     The generator is read in blocks of ``_DRAW_BLOCK`` calls' worth of
     words, ``rng.integers(0, 2**32, ..., dtype=np.uint32)``, and each
-    block's draws are worked out with array operations.  A rejected
-    word has a probability below p / 2**32; from the first one on, the
-    draws follow numpy's steps word by word (:meth:`_replica`), over
-    the rest of the block and then over fresh blocks.  Reading ahead is
-    exact because nothing reads a tree's generator after its tree.
+    block's draws are worked out with array operations.  Reading ahead
+    is exact because nothing reads a tree's generator after its tree.
+    A rejected word has a probability below p / 2**32.  At the first
+    one, the generator is put back to its state before the block (which
+    holds PCG64's buffered half-word) and reads the words of the calls
+    before it again, so it stands where numpy's own calls would leave
+    it; from that call on, every draw is ``rng.choice`` itself.
 
-    Draws of 0 or more than ``_BLOCK_MAX_FEATURES`` features are left
-    to ``rng.choice``.  That also covers the only draws where numpy
-    does not use Floyd, a tail shuffle when p > 10000 and mf > p // 50,
-    which needs mf > 200.
+    Draws of 0 or more than ``_BLOCK_MAX_FEATURES`` features are always
+    ``rng.choice``.  That also covers the only draws where numpy does
+    not use Floyd, a tail shuffle when p > 10000 and mf > p // 50, which
+    needs mf > 200.
     """
-
-    def __init__(self, rng, p: int, mf: int):
-        self.rng, self.p, self.mf = rng, p, mf
-        self.blocks = 0 < mf <= _BLOCK_MAX_FEATURES
+    if 0 < mf <= _BLOCK_MAX_FEATURES:
         # each word's r, a call's Floyd columns and then its shuffle's
-        self.r = np.concatenate([np.arange(p - mf + 1, p + 1), np.arange(mf, 1, -1)]).astype(np.uint64)
-        self.threshold = (1 << 32) % self.r  # a word is rejected below this
-        self.drawn = np.empty((0, mf), dtype=np.intp)  # the current block's sorted draws
-        self.at = 0  # the next of them
-        self.words = None  # after a rejected word: the words not yet read, and where the next is
-        self.next_word = 0
-
-    def __call__(self) -> np.ndarray:
-        if not self.blocks:
-            return np.sort(self.rng.choice(self.p, self.mf, replace=False))
-        if self.at == len(self.drawn) and self.words is None:
-            self._block()
-        if self.at < len(self.drawn):
-            self.at += 1
-            return self.drawn[self.at - 1]
-        return self._replica()
-
-    def _read(self) -> np.ndarray:
-        return self.rng.integers(0, 2**32, size=_DRAW_BLOCK * len(self.r), dtype=np.uint32)
-
-    def _block(self) -> None:
-        """The next block's draws, up to its first call with a rejected
-        word, whose words and the rest are kept for :meth:`_replica`."""
-        mf, width = self.mf, len(self.r)
-        words = self._read()
-        m = words.reshape(_DRAW_BLOCK, width) * self.r
-        rejected = ((m & 0xFFFFFFFF) < self.threshold).any(axis=1)
-        good = int(rejected.argmax()) if rejected.any() else _DRAW_BLOCK
-        drawn = (m[:good, :mf] >> 32).astype(np.intp)
-        for c in range(1, mf):
-            taken = (drawn[:, :c] == drawn[:, c, None]).any(axis=1)
-            drawn[taken, c] = self.p - mf + c
-        drawn.sort(axis=1)
-        self.drawn, self.at = drawn, 0
-        if good < _DRAW_BLOCK:
-            self.words, self.next_word = words[good * width:].tolist(), 0
-
-    def _bounded(self, r: int) -> int:
-        threshold = (1 << 32) % r
+        r = np.concatenate([np.arange(p - mf + 1, p + 1), np.arange(mf, 1, -1)]).astype(np.uint64)
+        threshold = (1 << 32) % r  # a word is rejected below this
         while True:
-            if self.next_word == len(self.words):
-                self.words, self.next_word = self._read().tolist(), 0
-            m = self.words[self.next_word] * r
-            self.next_word += 1
-            if m & 0xFFFFFFFF >= threshold:
-                return m >> 32
-
-    def _replica(self) -> np.ndarray:
-        """One call of numpy's steps, word by word."""
-        kept = []
-        for j in range(self.p - self.mf, self.p):
-            v = self._bounded(j + 1)
-            kept.append(j if v in kept else v)
-        for r in range(self.mf, 1, -1):
-            self._bounded(r)
-        return np.array(sorted(kept), dtype=np.intp)
+            state = rng.bit_generator.state
+            words = rng.integers(0, 2**32, size=_DRAW_BLOCK * len(r), dtype=np.uint32)
+            m = words.reshape(_DRAW_BLOCK, -1) * r
+            rejected = ((m & 0xFFFFFFFF) < threshold).any(axis=1)
+            good = int(rejected.argmax()) if rejected.any() else _DRAW_BLOCK
+            drawn = (m[:good, :mf] >> 32).astype(np.intp)
+            for c in range(1, mf):
+                taken = (drawn[:, :c] == drawn[:, c, None]).any(axis=1)
+                drawn[taken, c] = p - mf + c
+            drawn.sort(axis=1)
+            yield from drawn
+            if good < _DRAW_BLOCK:
+                rng.bit_generator.state = state
+                rng.integers(0, 2**32, size=good * len(r), dtype=np.uint32)
+                break
+    while True:
+        yield np.sort(rng.choice(p, mf, replace=False))
 
 
 def _grow_forest(x, y, rows, weights, bounds, draws, max_depth, min_leaf) -> list[Tree]:
     """Grow one tree per segment ``bounds[t]:bounds[t + 1]`` of
     ``rows`` (each tree's distinct training rows) and ``weights``
     (their multiplicities), in lockstep.  ``draws`` holds each tree's
-    :class:`_FeatureDraws`, called once per node searched, in the
+    :func:`_feature_draws`, advanced once per node searched, in the
     tree's preorder, for that node's sorted feature subset: exactly the
     draws of ``rng.choice`` on the tree's generator, read from blocks of
-    its 32-bit words.  Or it is None to try every feature at every node.
+    its 32-bit words until a rejected word hands the tree to numpy's own
+    ``choice`` from that node on.  Or it is None to try every feature at
+    every node.
 
     Each tree keeps its own preorder with an explicit stack.  A node is
     a contiguous segment of ``rows`` and ``weights``, which a split
@@ -465,7 +431,7 @@ def _grow_forest(x, y, rows, weights, bounds, draws, max_depth, min_leaf) -> lis
                 value.append(pos / weight)
                 if pos == 0 or pos == weight or depth >= max_depth or weight < 2 * min_leaf:
                     continue
-                feats = all_features if draws is None else draws[t]()
+                feats = all_features if draws is None else next(draws[t])
                 batch.append((t, start, stop, depth, weight, pos, feats))
                 break
         if not batch:

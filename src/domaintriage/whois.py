@@ -170,21 +170,46 @@ def _http_connect(sock: socket.socket, host: str, port: int, deadline: float) ->
         )
 
 
+# bytes of the bound address in a SOCKS5 reply, by its ATYP (RFC 1928,
+# section 6): IPv4 or IPv6; a domain name (ATYP 3) is a length byte and
+# that many bytes
+_SOCKS5_ADDRESS_BYTES = {1: 4, 4: 16}
+
+
+def _recv_exact(sock: socket.socket, count: int, deadline: float) -> bytes:
+    """``count`` bytes from the proxy, however TCP splits them; raises
+    ``WhoisConnectionRefused`` when the proxy closes before they came."""
+    data = b""
+    while len(data) < count:
+        sock.settimeout(_time_left(deadline))
+        chunk = sock.recv(count - len(data))
+        if not chunk:
+            raise WhoisConnectionRefused("SOCKS5 proxy closed the connection mid-reply")
+        data += chunk
+    return data
+
+
 def _socks5_connect(sock: socket.socket, host: str, port: int, deadline: float) -> None:
     sock.sendall(b"\x05\x01\x00")  # version 5, one method: no auth
-    sock.settimeout(_time_left(deadline))
-    reply = sock.recv(2)
-    if reply != b"\x05\x00":
+    if _recv_exact(sock, 2, deadline) != b"\x05\x00":
         raise WhoisConnectionRefused("SOCKS5 proxy rejected the handshake")
     name = host.encode("idna")
     if len(name) > 255:
         raise WhoisConnectionRefused(f"{host}: name too long for SOCKS5")
     sock.sendall(b"\x05\x01\x00\x03" + bytes([len(name)]) + name
                  + port.to_bytes(2, "big"))
-    sock.settimeout(_time_left(deadline))
-    reply = sock.recv(10)
-    if len(reply) < 2 or reply[1] != 0x00:
-        raise WhoisConnectionRefused(f"SOCKS5 connect failed (code {reply[1:2].hex()})")
+    # VER REP RSV ATYP, then the bound address and port, all read here so
+    # that none of it is taken for the WHOIS response
+    _, code, _, atyp = _recv_exact(sock, 4, deadline)
+    if code != 0x00:
+        raise WhoisConnectionRefused(f"SOCKS5 connect failed (code {code:02x})")
+    if atyp == 3:
+        size = _recv_exact(sock, 1, deadline)[0]
+    elif atyp in _SOCKS5_ADDRESS_BYTES:
+        size = _SOCKS5_ADDRESS_BYTES[atyp]
+    else:
+        raise WhoisConnectionRefused(f"SOCKS5 reply has unknown address type {atyp}")
+    _recv_exact(sock, size + 2, deadline)
 
 
 class WhoisClient:

@@ -5,9 +5,11 @@ import random
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from domaintriage.cli import main
+from domaintriage.ingest import read_features
 from domaintriage.whois import WhoisCache
 
 REF = "2020-05-16"
@@ -313,6 +315,24 @@ def test_extract_uses_cache(pipeline, capsys, tmp_path):
     assert first[2] == "45"  # f1: 2020-04-01 to 2020-05-16
 
 
+def test_extract_counts_cached_records_without_a_creation_date(tmp_path, capsys):
+    # a cached record counts as WHOIS data present even when it has no
+    # creation date (f1), as long as the cache holds the domain
+    dataset = tmp_path / "dataset.csv"
+    dataset.write_text("domain,label,source,first_seen\n"
+                       "example.com,0,top,2020-04-01\nother.org,1,abuse,2020-04-01\n")
+    cache_path = str(tmp_path / "cache.jsonl")
+    WhoisCache(cache_path).put("example.com", "Registrar: GoDaddy.com, LLC\n"
+                               "Registry Expiry Date: 2021-01-01\n", dt.date(2020, 5, 16))
+    out = str(tmp_path / "fx.csv")
+    code, (summary,) = _run(capsys, "extract", "--in", str(dataset), "--cache", cache_path,
+                            "--reference-date", REF, "--out", out)
+    assert code == 0
+    assert (summary["rows"], summary["whois_present"], summary["whois_missing"]) == (2, 1, 1)
+    row = read_features(out).x[0]
+    assert np.isnan(row[0]) and row[1] == 230 and row[14] == 1  # f1, f2, f15
+
+
 @pytest.mark.parametrize("line", [
     "[1]",
     '{"domain": "garden.com", "fetched_on": "2020-05-01", "raw": 5}',
@@ -355,7 +375,10 @@ def test_out_of_range_whois_date_in_cache(pipeline, capsys, tmp_path):
     code, (summary,) = _run(capsys, "extract", "--in", pipeline["dataset"],
                             "--cache", cache_path, "--reference-date", REF, "--out", out)
     assert code == 0
-    assert summary["whois_present"] == 0
+    # the record is cached, but neither of its dates is kept
+    assert summary["whois_present"] == 1
+    table = read_features(out)
+    assert np.isnan(table.x[table.domains.index("covid-masks-sale.buzz"), :3]).all()
     code, (line,) = _run(capsys, "predict", "--model", model, "--domain",
                          "covid-masks-sale.buzz", "--cache", cache_path,
                          "--reference-date", REF)

@@ -40,6 +40,15 @@ def test_package_imports_only_the_standard_library_numpy_and_itself():
     assert [re.match(r"[\w.-]+", dep).group() for dep in project["dependencies"]] == ["numpy"]
 
 
+def test_python_floor_is_3_11_in_pyproject_and_readme():
+    # these tests import tomllib, and WHOIS dates are read with the
+    # datetime.fromisoformat of 3.11, which takes forms 3.10's refuses
+    # (20200503, 2020-05-03T11:22:33.5Z), so one cache gives one model
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project["requires-python"] == ">=3.11"
+    assert "Python 3.11 or newer." in (ROOT / "README.md").read_text(encoding="utf-8")
+
+
 def _names_used(node: ast.AST) -> set[str]:
     """Every name used under ``node``: names, attributes, imported names
     and dotted-name strings."""

@@ -65,6 +65,13 @@ def test_split_deterministic_per_seed():
     assert not (a[0] == c[0]).all()
 
 
+@pytest.mark.parametrize("stratified", [True, False], ids=["stratified", "plain"])
+def test_split_rejects_labels_other_than_0_and_1(stratified):
+    # a row labelled 2 would otherwise land in neither part
+    with pytest.raises(UsageError, match="labels must be 0 or 1"):
+        split_indices([0, 0, 1, 1, 2, 2, 0, 1], 0.5, seed=0, stratified=stratified)
+
+
 def test_split_plain_variant():
     labels = [0] * 19 + [1]
     # stratified would refuse a 1-row class; plain split works

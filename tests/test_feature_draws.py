@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from domaintriage import learn
-from domaintriage.learn import InvalidHyperparameter, _FeatureDraws, train_random_forest
+from domaintriage.learn import InvalidHyperparameter, _feature_draws, train_random_forest
 from domaintriage.model import UsageError
 from oracles import floyd_choices_from_words
 
@@ -28,10 +28,10 @@ def _pair(seed: int, bootstrap: int):
 
 
 def _assert_draws_equal_choice(rng, twin, p, mf, calls):
-    draws = _FeatureDraws(rng, p, mf)
+    draws = _feature_draws(rng, p, mf)
     for _ in range(calls):
         want = np.sort(twin.choice(p, mf, replace=False))
-        got = draws()
+        got = next(draws)
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
@@ -111,7 +111,8 @@ def test_plant_puts_the_word_in_the_stream():
 
 
 @pytest.mark.parametrize("column", [1, 7], ids=["floyd-column", "shuffle-column"])
-@pytest.mark.parametrize("call", [0, 61, learn._DRAW_BLOCK - 1], ids=["first-call", "middle-call", "last-call"])
+@pytest.mark.parametrize("call", [0, 61, learn._DRAW_BLOCK - 1, learn._DRAW_BLOCK + 5],
+                         ids=["first-call", "middle-call", "last-call", "later-block"])
 def test_rejected_word_falls_back_to_numpys_steps(column, call):
     # p = 17, mf = 5: a call reads 9 words, Floyd's with r = 13..17 and
     # then the shuffle's with r = 5..2.  Word 0 is rejected for any r
@@ -125,46 +126,13 @@ def test_rejected_word_falls_back_to_numpys_steps(column, call):
     words = np.random.Generator(np.random.PCG64())
     words.bit_generator.state = rng.bit_generator.state
     replica = floyd_choices_from_words(words.integers(0, 2**32, size=10_000, dtype=np.uint32).tolist(), p, mf)
-    draws = _FeatureDraws(rng, p, mf)
-    for _ in range(call + 2 * learn._DRAW_BLOCK + 10):  # on into two fresh blocks
-        got = draws().tolist()
+    draws = _feature_draws(rng, p, mf)
+    for _ in range(call + 2 * learn._DRAW_BLOCK + 10):  # on past two more blocks' worth
+        got = next(draws).tolist()
         assert got == next(replica) == np.sort(twin.choice(p, mf, replace=False)).tolist()
-        # the block's draws stop before the call with the rejected word
-        assert len(draws.drawn) == call and draws.words is not None
-
-
-class _Words:
-    """A stand-in generator that hands out fixed 32-bit words."""
-
-    def __init__(self, words):
-        self.words = words
-        self.read = 0
-
-    def integers(self, low, high, size, dtype):
-        assert (low, high, dtype) == (0, 2**32, np.uint32)
-        assert self.read + size <= len(self.words), "read past the planted words"
-        self.read += size
-        return self.words[self.read - size:self.read]
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_draws_equal_replica_over_any_words(data):
-    # many rejected words (0 is rejected for any r that is not a power of
-    # two), in the blocks and in the replica after them
-    p = data.draw(st.integers(2, 20))
-    mf = data.draw(st.integers(1, p - 1))
-    block = data.draw(st.sampled_from([1, 2, 5]))
-    calls = data.draw(st.integers(1, 12))
-    words = np.random.default_rng(data.draw(st.integers(0, 2**32))).integers(
-        0, 2**32, size=(calls + 3 * block) * (2 * mf - 1) + 16, dtype=np.uint32)
-    words[data.draw(st.lists(st.integers(0, len(words) - 1), max_size=8))] = 0
-    want = list(floyd_choices_from_words(words.tolist(), p, mf))
-    assert len(want) >= calls
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(learn, "_DRAW_BLOCK", block)
-        draws = _FeatureDraws(_Words(words), p, mf)
-        assert [draws().tolist() for _ in range(calls)] == want[:calls]
+    # from the rejected word on, the tree's generator is read as numpy's
+    # own calls read it: no word read ahead, none skipped
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 @pytest.mark.parametrize("bad", [True, 2.5, -1, np.float64(2.0), "2"])

@@ -307,15 +307,33 @@ class HttpProxyStub:
 
 
 class Socks5ProxyStub:
-    def __init__(self, payload="socks reply\n", grant=True):
+    """A SOCKS5 proxy whose CONNECT reply binds an address of type
+    ``atyp`` (1 IPv4, 3 a domain name, 4 IPv6); or that sends
+    ``cut_reply`` instead and hangs up.  With ``dribble`` it sends its
+    replies one byte at a time."""
+
+    def __init__(self, payload="socks reply\n", grant=True, atyp=1, dribble=False, cut_reply=None):
         self.payload = payload
         self.grant = grant
+        self.cut_reply = cut_reply
+        self.reply = b"\x05\x00\x00" + bytes([atyp]) + {
+            1: bytes(4), 3: b"\x0bproxy.local", 4: bytes(16)}[atyp] + (1080).to_bytes(2, "big")
+        self.dribble = dribble
         self.targets = []
         self._sock = socket.socket()
         self._sock.bind(("127.0.0.1", 0))
         self._sock.listen(4)
         self.port = self._sock.getsockname()[1]
         threading.Thread(target=self._serve, daemon=True).start()
+
+    def _send(self, conn, data):
+        if not self.dribble:
+            conn.sendall(data)
+            return
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for i in range(len(data)):
+            conn.sendall(data[i:i + 1])
+            time.sleep(0.002)
 
     def _serve(self):
         while True:
@@ -332,14 +350,17 @@ class Socks5ProxyStub:
                     if not self.grant:
                         conn.sendall(b"\x05\xff")
                         continue
-                    conn.sendall(b"\x05\x00")
+                    self._send(conn, b"\x05\x00")
                     head = conn.recv(4)
                     assert head[:4] == b"\x05\x01\x00\x03"
                     namelen = conn.recv(1)[0]
                     name = conn.recv(namelen).decode()
                     port = int.from_bytes(conn.recv(2), "big")
                     self.targets.append((name, port))
-                    conn.sendall(b"\x05\x00\x00\x01" + bytes(4) + (0).to_bytes(2, "big"))
+                    if self.cut_reply is not None:
+                        conn.sendall(self.cut_reply)
+                        continue
+                    self._send(conn, self.reply)
                     q = b""
                     while not q.endswith(b"\r\n"):
                         chunk = conn.recv(1024)
@@ -400,6 +421,39 @@ def test_socks5_rejection():
                              timeout=2.0, min_interval=0.0)
         with pytest.raises(WhoisConnectionRefused):
             client.query(parse_domain("cheap.top"))
+    finally:
+        proxy.close()
+
+
+@pytest.mark.parametrize("dribble", [False, True], ids=["whole", "byte-by-byte"])
+@pytest.mark.parametrize("atyp", [1, 3, 4], ids=["ipv4", "domain", "ipv6"])
+def test_socks5_reply_is_read_by_its_length(atyp, dribble):
+    # RFC 1928's reply is 4 bytes, the bound address (its length set by
+    # ATYP) and 2 port bytes; none of it may reach the WHOIS response
+    payload = "Creation Date: 2020-01-01\r\n"
+    proxy = Socks5ProxyStub(payload=payload, atyp=atyp, dribble=dribble)
+    try:
+        client = WhoisClient(server_map={"top": "registry.example"},
+                             proxy=f"socks5://127.0.0.1:{proxy.port}",
+                             timeout=5.0, min_interval=0.0)
+        assert client.query(parse_domain("cheap.top")) == payload
+        assert proxy.targets == [("registry.example", 43)]
+    finally:
+        proxy.close()
+
+
+@pytest.mark.parametrize("cut_reply", [
+    b"\x05\x00\x00\x02" + bytes(6), b"\x05\x00\x00\x04" + bytes(9), b"\x05\x00",
+], ids=["unknown-atyp", "short-address", "short-head"])
+def test_socks5_reply_that_is_cut_or_unknown_is_refused(cut_reply):
+    proxy = Socks5ProxyStub(cut_reply=cut_reply)
+    try:
+        client = WhoisClient(server_map={"top": "registry.example"},
+                             proxy=f"socks5://127.0.0.1:{proxy.port}",
+                             timeout=5.0, min_interval=0.0)
+        with pytest.raises(WhoisConnectionRefused) as exc:
+            client.query(parse_domain("cheap.top"))
+        assert exc.value.kind == "refused"
     finally:
         proxy.close()
 
